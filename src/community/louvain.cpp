@@ -47,6 +47,9 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
   rng.shuffle(order);
 
   const double q_before = modularity(g, comm);
+  // Weight from the visited node to each neighboring community, as
+  // (community, weight) in first-seen order; one buffer for every visit.
+  std::vector<std::pair<int, double>> neigh;
   bool improved = true;
   int guard = 0;
   while (improved && guard++ < 100) {
@@ -56,8 +59,7 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
       const int old_c = comm[su];
       const double ku = g.weighted_degree(u);
 
-      // Weight from u to each neighboring community.
-      std::vector<std::pair<int, double>> neigh;  // (community, weight)
+      neigh.clear();
       auto weight_to = [&](int c) -> double& {
         for (auto& [cc, w] : neigh) {
           if (cc == c) return w;
@@ -115,10 +117,14 @@ Graph aggregate(const Graph& g, const std::vector<int>& comm, int k) {
     const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(u)]);
     agg.set_node_weight(cu, agg.node_weight(cu) + g.node_weight(u));
   }
-  for (const auto& e : g.edges()) {
-    const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(e.u)]);
-    const auto cv = static_cast<NodeId>(comm[static_cast<std::size_t>(e.v)]);
-    agg.add_edge(cu, cv, e.weight);
+  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(u)]);
+    for (const auto& e : g.neighbors(u)) {
+      if (e.to < u) continue;
+      const auto cv = static_cast<NodeId>(comm[static_cast<std::size_t>(e.to)]);
+      agg.add_edge(cu, cv, e.weight);
+    }
   }
   return agg;
 }
@@ -133,11 +139,15 @@ double modularity(const Graph& g, const std::vector<int>& community) {
   for (int c : community) k = std::max(k, c + 1);
   std::vector<double> in(static_cast<std::size_t>(k), 0.0);
   std::vector<double> tot(static_cast<std::size_t>(k), 0.0);
-  for (const auto& e : g.edges()) {
-    const int cu = community[static_cast<std::size_t>(e.u)];
-    const int cv = community[static_cast<std::size_t>(e.v)];
-    if (cu == cv) {
-      in[static_cast<std::size_t>(cu)] += (e.u == e.v) ? e.weight : 2.0 * e.weight;
+  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const int cu = community[static_cast<std::size_t>(u)];
+    for (const auto& e : g.neighbors(u)) {
+      if (e.to < u || community[static_cast<std::size_t>(e.to)] != cu) {
+        continue;
+      }
+      in[static_cast<std::size_t>(cu)] +=
+          (e.to == u) ? e.weight : 2.0 * e.weight;
     }
   }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {

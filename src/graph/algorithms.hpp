@@ -48,7 +48,12 @@ std::vector<int> connected_components(const Graph& g);
 NodeId graph_center(const Graph& g);
 
 /// Restrict `center` search to `subset` (distances measured inside the
-/// induced subgraph). Returns kInvalidNode if subset is empty.
+/// induced subgraph). Returns kInvalidNode if subset is empty. Order
+/// matters: among equally large components of the induced subgraph the one
+/// whose first member comes earliest in `subset` is searched, and ties in
+/// eccentricity and weighted degree go to the node earliest in `subset`,
+/// not the lowest id. Callers that memoise results must key on the ordered
+/// vector.
 NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset);
 
 /// Induced subgraph on `subset`; out_map[i] is the original id of new node i.

@@ -10,11 +10,11 @@
 namespace cloudqc {
 namespace {
 
-/// One level of the multilevel hierarchy.
-struct Level {
-  Graph graph;
-  /// fine node -> coarse node (into the *next* level's graph).
+/// One coarsening step of the multilevel hierarchy.
+struct CoarseLevel {
+  /// Node of the next finer level -> node of `graph`.
   std::vector<NodeId> to_coarse;
+  Graph graph;
 };
 
 /// Heavy-edge matching: visit nodes in random order; match each unmatched
@@ -72,10 +72,14 @@ Graph contract(const Graph& g, const std::vector<NodeId>& to_coarse,
   for (NodeId cu = 0; cu < coarse_n; ++cu) {
     c.set_node_weight(cu, c.node_weight(cu) - 1.0);
   }
-  for (const auto& e : g.edges()) {
-    const NodeId cu = to_coarse[static_cast<std::size_t>(e.u)];
-    const NodeId cv = to_coarse[static_cast<std::size_t>(e.v)];
-    if (cu != cv) c.add_edge(cu, cv, e.weight);
+  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const NodeId cu = to_coarse[static_cast<std::size_t>(u)];
+    for (const auto& e : g.neighbors(u)) {
+      if (e.to < u) continue;
+      const NodeId cv = to_coarse[static_cast<std::size_t>(e.to)];
+      if (cu != cv) c.add_edge(cu, cv, e.weight);
+    }
   }
   return c;
 }
@@ -181,10 +185,13 @@ std::vector<int> project(const std::vector<int>& coarse_part,
 double edge_cut(const Graph& g, const std::vector<int>& part) {
   CLOUDQC_CHECK(part.size() == static_cast<std::size_t>(g.num_nodes()));
   double cut = 0.0;
-  for (const auto& e : g.edges()) {
-    if (part[static_cast<std::size_t>(e.u)] !=
-        part[static_cast<std::size_t>(e.v)]) {
-      cut += e.weight;
+  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const int pu = part[static_cast<std::size_t>(u)];
+    for (const auto& e : g.neighbors(u)) {
+      if (e.to >= u && part[static_cast<std::size_t>(e.to)] != pu) {
+        cut += e.weight;
+      }
     }
   }
   return cut;
@@ -236,21 +243,25 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   };
 
   // --- 1. Coarsening ---------------------------------------------------
-  std::vector<Level> levels;
-  levels.push_back({g, {}});
+  // Level 0 is the caller's graph, referenced rather than copied; level
+  // l > 0 is coarse[l - 1].graph.
+  std::vector<CoarseLevel> coarse;
+  auto level = [&](std::size_t l) -> const Graph& {
+    return l == 0 ? g : coarse[l - 1].graph;
+  };
   const NodeId coarse_goal =
       std::max<NodeId>(static_cast<NodeId>(4 * k), 24);
-  while (levels.back().graph.num_nodes() > coarse_goal) {
-    auto [to_coarse, cn] = heavy_edge_matching(levels.back().graph, rng);
+  while (level(coarse.size()).num_nodes() > coarse_goal) {
+    const Graph& fine = level(coarse.size());
+    auto [to_coarse, cn] = heavy_edge_matching(fine, rng);
     // Matching stagnated (e.g. graph with no edges): stop coarsening.
-    if (cn >= levels.back().graph.num_nodes()) break;
-    Graph coarse = contract(levels.back().graph, to_coarse, cn);
-    levels.back().to_coarse = std::move(to_coarse);
-    levels.push_back({std::move(coarse), {}});
+    if (cn >= fine.num_nodes()) break;
+    Graph contracted = contract(fine, to_coarse, cn);
+    coarse.push_back({std::move(to_coarse), std::move(contracted)});
   }
 
   // --- 2. Initial partition at the coarsest level ----------------------
-  const Graph& coarsest = levels.back().graph;
+  const Graph& coarsest = level(coarse.size());
   std::vector<int> part;
   double best_cut = std::numeric_limits<double>::infinity();
   // A few random restarts; keep the best refined result.
@@ -268,12 +279,12 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   }
 
   // --- 3. Uncoarsen + refine -------------------------------------------
-  for (std::size_t lvl = levels.size() - 1; lvl-- > 0;) {
-    part = project(part, levels[lvl].to_coarse);
-    internal::refine_partition(levels[lvl].graph, part, k,
-                               ceiling_for(levels[lvl].graph),
+  for (std::size_t lvl = coarse.size(); lvl-- > 0;) {
+    part = project(part, coarse[lvl].to_coarse);
+    const Graph& fine = level(lvl);
+    internal::refine_partition(fine, part, k, ceiling_for(fine),
                                opt.refine_passes, rng);
-    internal::repair_empty_parts(levels[lvl].graph, part, k);
+    internal::repair_empty_parts(fine, part, k);
   }
 
   out.part = std::move(part);

@@ -39,11 +39,10 @@ Graph partition_interaction_graph(const Graph& interaction,
 }
 
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, int needed_qubits, std::uint64_t seed,
-    int min_qpus) {
+    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    std::uint64_t seed, int min_qpus) {
   if (cloud.total_free_computing() < needed_qubits) return std::nullopt;
 
-  const Graph weighted = cloud.resource_weighted_topology();
   LouvainOptions opt;
   opt.seed = seed;
   const CommunityResult communities = detect_communities(weighted, opt);
@@ -109,12 +108,19 @@ std::optional<std::vector<QpuId>> select_qpus_by_community(
 
 std::optional<std::vector<QpuId>> map_partitions(
     const Graph& part_graph, const QuantumCloud& cloud,
-    const std::vector<QpuId>& candidates) {
+    const std::vector<QpuId>& candidates, CenterMemo& centers) {
   const int k = part_graph.num_nodes();
   if (static_cast<int>(candidates.size()) < k) return std::nullopt;
 
   // Candidate-set center within the cloud topology.
-  const QpuId cloud_center = graph_center_of(cloud.topology(), candidates);
+  auto memo = centers.find(candidates);
+  if (memo == centers.end()) {
+    memo = centers
+               .emplace(candidates,
+                        graph_center_of(cloud.topology(), candidates))
+               .first;
+  }
+  const QpuId cloud_center = memo->second;
   const NodeId part_center = graph_center(part_graph);
   if (k == 0) return std::vector<QpuId>{};
   CLOUDQC_CHECK(cloud_center != kInvalidNode && part_center != kInvalidNode);
@@ -204,6 +210,7 @@ namespace {
 
 /// Single-QPU fast path: best-fit QPU able to host the whole circuit.
 std::optional<Placement> try_single_qpu(const Circuit& circuit,
+                                        const CircuitDag& dag,
                                         const QuantumCloud& cloud,
                                         const PlacerOptions& opts) {
   const int n = circuit.num_qubits();
@@ -218,7 +225,7 @@ std::optional<Placement> try_single_qpu(const Circuit& circuit,
   }
   if (best == kInvalidNode) return std::nullopt;
   std::vector<QpuId> map(static_cast<std::size_t>(n), best);
-  return finalize_placement(circuit, cloud, std::move(map), opts.alpha,
+  return finalize_placement(circuit, dag, cloud, std::move(map), opts.alpha,
                             opts.beta);
 }
 
@@ -265,8 +272,13 @@ class CloudQcFamilyPlacer final : public Placer {
     const int n = circuit.num_qubits();
     if (n == 0) return std::nullopt;
 
+    // Every candidate's time estimate walks the same circuit DAG.
+    const CircuitDag dag(circuit);
+
     // Algorithm 1 line 2: whole circuit fits one QPU.
-    if (auto single = try_single_qpu(circuit, cloud, opts_)) return single;
+    if (auto single = try_single_qpu(circuit, dag, cloud, opts_)) {
+      return single;
+    }
 
     const int k_min = min_feasible_parts(cloud, n);
     if (k_min == 0) return std::nullopt;
@@ -279,6 +291,12 @@ class CloudQcFamilyPlacer final : public Placer {
     // One interaction graph for the whole imbalance/k sweep, shared with
     // the polish pass's delta-cost engine via the context.
     const Graph& interaction = *ctx.interaction;
+    // `cloud` is const for the whole call, so its resource-weighted
+    // topology and the centres of candidate sets are built once per call.
+    const Graph weighted = select_ == QpuSelect::kCommunity
+                               ? cloud.resource_weighted_topology()
+                               : Graph();
+    detail::CenterMemo centers;
     std::optional<Placement> best;
 
     for (const double alpha : opts_.imbalance_factors) {
@@ -300,12 +318,13 @@ class CloudQcFamilyPlacer final : public Placer {
             static_cast<int>(std::ceil((1.0 + alpha) * n)));
         const auto candidates =
             select_ == QpuSelect::kCommunity
-                ? detail::select_qpus_by_community(cloud, needed, rng(), k)
+                ? detail::select_qpus_by_community(cloud, weighted, needed,
+                                                   rng(), k)
                 : detail::select_qpus_by_bfs(cloud, needed, k);
         if (!candidates.has_value()) continue;
 
         const auto mapping =
-            detail::map_partitions(part_graph, cloud, *candidates);
+            detail::map_partitions(part_graph, cloud, *candidates, centers);
         if (!mapping.has_value()) continue;
 
         std::vector<QpuId> qubit_to_qpu(static_cast<std::size_t>(n));
@@ -328,7 +347,7 @@ class CloudQcFamilyPlacer final : public Placer {
           if (over) continue;
         }
 
-        Placement cand = finalize_placement(circuit, cloud,
+        Placement cand = finalize_placement(circuit, dag, cloud,
                                             std::move(qubit_to_qpu),
                                             opts_.alpha, opts_.beta);
         if (!best.has_value() || cand.score > best->score) {
@@ -340,7 +359,7 @@ class CloudQcFamilyPlacer final : public Placer {
       std::vector<QpuId> polished = best->qubit_to_qpu;
       detail::polish_placement(circuit, cloud, polished, opts_.polish_passes,
                                rng, &ctx);
-      best = finalize_placement(circuit, cloud, std::move(polished),
+      best = finalize_placement(circuit, dag, cloud, std::move(polished),
                                 opts_.alpha, opts_.beta);
     }
     // Warm start (placement cache near-hit): polish the cached mapping as
@@ -352,8 +371,9 @@ class CloudQcFamilyPlacer final : public Placer {
       std::vector<QpuId> seeded = *ctx.warm_start;
       detail::polish_placement(circuit, cloud, seeded,
                                std::max(1, opts_.polish_passes), rng, &ctx);
-      Placement warm = finalize_placement(circuit, cloud, std::move(seeded),
-                                          opts_.alpha, opts_.beta);
+      Placement warm = finalize_placement(circuit, dag, cloud,
+                                          std::move(seeded), opts_.alpha,
+                                          opts_.beta);
       if (!best.has_value() || better_placement(warm, *best)) {
         best = std::move(warm);
       }

@@ -121,21 +121,29 @@ bool placement_fits(const QuantumCloud& cloud,
   return true;
 }
 
-Placement finalize_placement(const Circuit& circuit, const QuantumCloud& cloud,
+Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
+                             const QuantumCloud& cloud,
                              std::vector<QpuId> qubit_to_qpu, double alpha,
                              double beta) {
+  CLOUDQC_CHECK(dag.num_nodes() == circuit.num_gates());
   Placement p;
   p.qubit_to_qpu = std::move(qubit_to_qpu);
   p.qubits_per_qpu = qubits_per_qpu(cloud, p.qubit_to_qpu);
   p.comm_cost = placement_comm_cost(circuit, cloud, p.qubit_to_qpu);
   p.remote_ops = placement_remote_ops(circuit, p.qubit_to_qpu);
-  const CircuitDag dag(circuit);
   p.est_time = estimate_execution_time(circuit, dag, cloud, p.qubit_to_qpu);
   // S = α/T + β/C; a zero-cost (single-QPU) placement is the best possible
   // for the C-term, represented by treating 1/C as 1/(C+1) shifted — we use
   // C+1 and T+1 to keep the score finite and monotone.
   p.score = alpha / (p.est_time + 1.0) + beta / (p.comm_cost + 1.0);
   return p;
+}
+
+Placement finalize_placement(const Circuit& circuit, const QuantumCloud& cloud,
+                             std::vector<QpuId> qubit_to_qpu, double alpha,
+                             double beta) {
+  return finalize_placement(circuit, CircuitDag(circuit), cloud,
+                            std::move(qubit_to_qpu), alpha, beta);
 }
 
 }  // namespace cloudqc

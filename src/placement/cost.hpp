@@ -37,7 +37,15 @@ std::vector<int> qubits_per_qpu(const QuantumCloud& cloud,
                                 const std::vector<QpuId>& qubit_to_qpu);
 
 /// Fill in all derived Placement fields (cost, remote ops, time, score)
-/// from `qubit_to_qpu`. `alpha`/`beta` are the scoring weights.
+/// from `qubit_to_qpu`. `alpha`/`beta` are the scoring weights. `dag` must
+/// be the circuit's own DAG; callers scoring many candidates of one circuit
+/// build it once and pass it here.
+Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
+                             const QuantumCloud& cloud,
+                             std::vector<QpuId> qubit_to_qpu, double alpha,
+                             double beta);
+
+/// As above, building the circuit's DAG for this one call.
 Placement finalize_placement(const Circuit& circuit, const QuantumCloud& cloud,
                              std::vector<QpuId> qubit_to_qpu, double alpha,
                              double beta);

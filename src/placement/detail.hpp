@@ -4,6 +4,7 @@
 // CloudQC and CloudQC-BFS placers and the unit tests can reuse it.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -20,13 +21,15 @@ Graph partition_interaction_graph(const Graph& interaction,
                                   const std::vector<int>& part, int k);
 
 /// Community-detection QPU selection (CloudQC proper): detect communities
-/// on the resource-weighted topology, pick the best-fitting community for
+/// on the resource-weighted topology `weighted` (=
+/// cloud.resource_weighted_topology(), built by the caller so a sweep over
+/// one unchanged cloud builds it once), pick the best-fitting community for
 /// `needed_qubits`, growing it with the nearest other communities when one
 /// community alone is too small or offers fewer than `min_qpus` hosts.
 /// Returns QPU ids, or nullopt when the whole cloud cannot fit the request.
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, int needed_qubits, std::uint64_t seed,
-    int min_qpus = 1);
+    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    std::uint64_t seed, int min_qpus = 1);
 
 /// BFS QPU selection (CloudQC-BFS baseline): breadth-first expansion from
 /// the QPU with the most free computing qubits until capacity suffices and
@@ -46,13 +49,22 @@ void polish_placement(const Circuit& circuit, const QuantumCloud& cloud,
                       std::vector<QpuId>& qubit_to_qpu, int max_passes,
                       Rng& rng, const PlacementContext* ctx = nullptr);
 
+/// Candidate-set centres (graph_center_of on the cloud topology) already
+/// computed for one cloud, keyed on the candidate vector *in order*:
+/// graph_center_of breaks ties by position, so a reordered set may have a
+/// different centre. Valid only while the cloud's topology is unchanged;
+/// the CloudQC family keeps one per placement call.
+using CenterMemo = std::map<std::vector<QpuId>, QpuId>;
+
 /// Algorithm 2: map each partition to a distinct QPU from `candidates`.
 /// The partition-graph center goes to the candidate-set center; remaining
 /// partitions are placed in max-adjacency order, each onto the feasible
 /// QPU minimising the distance-weighted cost to already-mapped neighbours.
-/// Returns partition→QPU, or nullopt when capacities cannot be satisfied.
+/// The candidate-set center is looked up in `centers` and added there on
+/// a miss. Returns partition→QPU, or nullopt when capacities cannot be
+/// satisfied.
 std::optional<std::vector<QpuId>> map_partitions(
     const Graph& part_graph, const QuantumCloud& cloud,
-    const std::vector<QpuId>& candidates);
+    const std::vector<QpuId>& candidates, CenterMemo& centers);
 
 }  // namespace cloudqc::detail

@@ -186,6 +186,23 @@ TEST(GraphCenterOf, DisconnectedSubsetUsesLargestComponent) {
   EXPECT_EQ(c, 1);
 }
 
+TEST(GraphCenterOf, TiesGoToEarliestPositionInSubset) {
+  // Every node of a 4-cycle has eccentricity 2 and degree 2, so only the
+  // tie-break decides: the first-listed node wins, whatever its id.
+  Graph ring(4);
+  for (NodeId i = 0; i < 4; ++i) ring.add_edge(i, (i + 1) % 4);
+  EXPECT_EQ(graph_center_of(ring, {0, 1, 2, 3}), 0);
+  EXPECT_EQ(graph_center_of(ring, {2, 3, 0, 1}), 2);
+  EXPECT_EQ(graph_center_of(ring, {3, 1, 0, 2}), 3);
+}
+
+TEST(GraphCenterOf, EqualComponentsPickTheOneListedFirst) {
+  const Graph g = path_graph(10);
+  // {0,1} and {7,8} induce two components of the same size.
+  EXPECT_EQ(graph_center_of(g, {0, 1, 7, 8}), 0);
+  EXPECT_EQ(graph_center_of(g, {8, 7, 1, 0}), 8);
+}
+
 TEST(InducedSubgraph, KeepsWeightsAndEdges) {
   Graph g(4);
   g.set_node_weight(1, 5.0);

@@ -15,6 +15,7 @@
 #include "placement/detail.hpp"
 #include "placement/incremental_cost.hpp"
 #include "placement/placement.hpp"
+#include "test_doubles.hpp"
 
 namespace cloudqc {
 namespace {
@@ -188,25 +189,57 @@ TEST(IncrementalCostProperty, PartitionConnectivityMatchesBruteForce) {
 }
 
 TEST(IncrementalCostProperty, ContextAndContextFreePlacementsAreIdentical) {
-  const QuantumCloud cloud = [] {
+  const QuantumCloud empty = [] {
     CloudConfig cfg;
     Rng r(3);
     return QuantumCloud(cfg, r);
   }();
+  // Scattered occupancy leaves no community big enough on its own, so the
+  // community selector grows unsorted candidate sets.
+  const QuantumCloud occupied = [&empty] {
+    QuantumCloud cloud = empty;
+    Rng occupy(8);
+    for (QpuId q = 0; q < cloud.num_qpus(); ++q) {
+      cloud.qpu(q).reserve_computing(10 + static_cast<int>(occupy.below(10)));
+    }
+    return cloud;
+  }();
   const Circuit c = make_workload("knn_n67");
-  const PlacementContext ctx = PlacementContext::for_circuit(c);
-  for (const auto& make :
-       {make_annealing_placer(2000), make_genetic_placer(12, 10),
-        make_cloudqc_placer()}) {
-    Rng direct_rng(21);
-    Rng ctx_rng(21);
-    const auto direct = make->place(c, cloud, direct_rng);
-    const auto shared = make->place_with_context(c, cloud, ctx_rng, ctx);
-    ASSERT_EQ(direct.has_value(), shared.has_value()) << make->name();
-    if (direct.has_value()) {
-      EXPECT_EQ(direct->qubit_to_qpu, shared->qubit_to_qpu) << make->name();
-      EXPECT_EQ(direct->comm_cost, shared->comm_cost) << make->name();
-      EXPECT_EQ(direct->score, shared->score) << make->name();
+  for (const QuantumCloud* cloud : {&empty, &occupied}) {
+    // A feasible seed for the warm-started contexts.
+    Rng seed_rng(4);
+    const auto seed = make_random_placer()->place(c, *cloud, seed_rng);
+    ASSERT_TRUE(seed.has_value());
+    // One cold and one warm context, shared by every placer below the way
+    // race_place shares one context between raced strategies.
+    const PlacementContext cold = PlacementContext::for_circuit(c);
+    const PlacementContext warm = [&] {
+      PlacementContext ctx = PlacementContext::for_circuit(c);
+      ctx.warm_start =
+          std::make_shared<const std::vector<QpuId>>(seed->qubit_to_qpu);
+      return ctx;
+    }();
+    for (const auto& make :
+         {make_annealing_placer(2000), make_genetic_placer(12, 10),
+          make_cloudqc_placer(), make_cloudqc_bfs_placer()}) {
+      for (const PlacementContext* ctx : {&cold, &warm}) {
+        const bool warm_started = ctx->warm_start != nullptr;
+        // Reference: place() for cold requests; for warm ones, a context
+        // built for this call alone.
+        PlacementContext own = PlacementContext::for_circuit(c);
+        own.warm_start = ctx->warm_start;
+        Rng ref_rng(21);
+        const auto reference =
+            warm_started ? make->place_with_context(c, *cloud, ref_rng, own)
+                         : make->place(c, *cloud, ref_rng);
+        ASSERT_TRUE(reference.has_value()) << make->name();
+        Rng ctx_rng(21);
+        const auto shared = make->place_with_context(c, *cloud, ctx_rng, *ctx);
+        EXPECT_TRUE(testing::identical_placements(reference, shared))
+            << make->name() << (cloud == &empty ? " empty" : " occupied")
+            << (warm_started ? " warm" : " cold");
+        EXPECT_EQ(ref_rng(), ctx_rng()) << make->name();
+      }
     }
   }
 }

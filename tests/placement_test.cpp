@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
 #include "graph/topology.hpp"
+#include "partition/partitioner.hpp"
 #include "placement/cost.hpp"
 #include "placement/detail.hpp"
 #include "placement/placement.hpp"
+#include "test_doubles.hpp"
 
 namespace cloudqc {
 namespace {
@@ -63,6 +66,35 @@ TEST(Cost, EstimateTimeSingleQpuHasNoEprTerm) {
   EXPECT_NEAR(remote, 10.0 / 0.3 + 6.1, 1e-9);
 }
 
+/// The paper cloud with 10..19 of each QPU's 20 computing qubits taken, so
+/// no single community can host a mid-sized job.
+QuantumCloud scattered_cloud(std::uint64_t seed) {
+  QuantumCloud cloud = paper_cloud(seed);
+  Rng occupy(seed + 100);
+  for (QpuId q = 0; q < cloud.num_qpus(); ++q) {
+    cloud.qpu(q).reserve_computing(10 + static_cast<int>(occupy.below(10)));
+  }
+  return cloud;
+}
+
+TEST(Cost, FinalizeWithPrebuiltDagMatchesOwnDag) {
+  const QuantumCloud cloud = paper_cloud();
+  const Circuit c = make_workload("knn_n67");
+  const CircuitDag dag(c);
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<QpuId> map(static_cast<std::size_t>(c.num_qubits()));
+    for (auto& q : map) {
+      q = static_cast<QpuId>(
+          rng.below(static_cast<std::uint64_t>(1 + trial % cloud.num_qpus())));
+    }
+    EXPECT_TRUE(testing::identical_placements(
+        finalize_placement(c, cloud, map, 0.5, 0.5),
+        finalize_placement(c, dag, cloud, map, 0.5, 0.5)))
+        << "trial " << trial;
+  }
+}
+
 TEST(Cost, FinalizeFillsEverything) {
   QuantumCloud cloud = paper_cloud();
   const Circuit c = gen::ghz(30);
@@ -114,9 +146,28 @@ TEST(PartitionInteractionGraph, AggregatesCuts) {
   EXPECT_DOUBLE_EQ(pg.node_weight(0), 2.0);  // two qubits
 }
 
+/// Community selection on a freshly built weighted topology: the
+/// reference for callers that build it once and reuse it.
+std::optional<std::vector<QpuId>> select_community(const QuantumCloud& cloud,
+                                                   int needed,
+                                                   std::uint64_t seed,
+                                                   int min_qpus = 1) {
+  return detail::select_qpus_by_community(
+      cloud, cloud.resource_weighted_topology(), needed, seed, min_qpus);
+}
+
+/// Algorithm 2 with an empty centre memo: the reference for callers that
+/// share one memo across calls.
+std::optional<std::vector<QpuId>> map_fresh(
+    const Graph& pg, const QuantumCloud& cloud,
+    const std::vector<QpuId>& candidates) {
+  detail::CenterMemo centers;
+  return detail::map_partitions(pg, cloud, candidates, centers);
+}
+
 TEST(SelectQpus, CommunityReturnsEnoughCapacity) {
   QuantumCloud cloud = paper_cloud(3);
-  const auto sel = detail::select_qpus_by_community(cloud, 70, 1);
+  const auto sel = select_community(cloud, 70, 1);
   ASSERT_TRUE(sel.has_value());
   int cap = 0;
   for (const QpuId q : *sel) cap += cloud.qpu(q).free_computing();
@@ -135,8 +186,90 @@ TEST(SelectQpus, BfsReturnsConnectedPrefix) {
 
 TEST(SelectQpus, ImpossibleRequestReturnsNullopt) {
   QuantumCloud cloud = paper_cloud(5);
-  EXPECT_FALSE(detail::select_qpus_by_community(cloud, 100000, 1).has_value());
+  EXPECT_FALSE(select_community(cloud, 100000, 1).has_value());
   EXPECT_FALSE(detail::select_qpus_by_bfs(cloud, 100000).has_value());
+}
+
+TEST(SelectQpus, SharedWeightedTopologyMatchesFreshBuilds) {
+  bool grew = false;
+  for (const std::uint64_t cloud_seed : {3u, 4u}) {
+    for (const QuantumCloud& cloud :
+         {paper_cloud(cloud_seed), scattered_cloud(cloud_seed)}) {
+      const Graph weighted = cloud.resource_weighted_topology();
+      for (const int needed : {10, 40, 70, 100, 1000}) {
+        for (int min_qpus = 1; min_qpus <= 4; ++min_qpus) {
+          for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const auto own = select_community(cloud, needed, seed, min_qpus);
+            EXPECT_EQ(own, detail::select_qpus_by_community(
+                               cloud, weighted, needed, seed, min_qpus))
+                << needed << " qubits, seed " << seed;
+            if (own.has_value() && !std::is_sorted(own->begin(), own->end())) {
+              grew = true;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Communities are listed in ascending id order, so only the grow path
+  // returns an unsorted set.
+  EXPECT_TRUE(grew);
+}
+
+TEST(MapPartitions, SharedCenterMemoMatchesFreshCalls) {
+  const QuantumCloud cloud = scattered_cloud(3);
+  const Circuit c = make_workload("knn_n67");
+  const Graph interaction = c.interaction_graph();
+  std::vector<std::vector<QpuId>> candidate_sets;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto set = select_community(cloud, 90, seed, 4);
+    ASSERT_TRUE(set.has_value());
+    candidate_sets.push_back(*set);
+    std::reverse(set->begin(), set->end());
+    candidate_sets.push_back(*set);  // same set, other order
+  }
+  const std::set<std::vector<QpuId>> distinct(candidate_sets.begin(),
+                                              candidate_sets.end());
+  detail::CenterMemo centers;
+  for (int round = 0; round < 2; ++round) {
+    for (int k = 2; k <= 4; ++k) {
+      PartitionOptions popt;
+      popt.num_parts = k;
+      popt.seed = static_cast<std::uint64_t>(k);
+      const Graph pg = detail::partition_interaction_graph(
+          interaction, partition_graph(interaction, popt).part, k);
+      for (const auto& candidates : candidate_sets) {
+        EXPECT_EQ(map_fresh(pg, cloud, candidates),
+                  detail::map_partitions(pg, cloud, candidates, centers))
+            << "k " << k << ", round " << round;
+      }
+    }
+  }
+  // One entry per ordered candidate vector: a reordered set is its own key.
+  EXPECT_EQ(centers.size(), distinct.size());
+}
+
+TEST(MapPartitions, CenterMemoKeysOnCandidateOrder) {
+  // Every QPU of a ring is a centre, so the order of the candidates picks
+  // the one graph_center_of returns, and with it where partition 0 lands.
+  // A memo keyed on the sorted set would give the second rotation the
+  // first one's centre.
+  CloudConfig cfg;
+  cfg.num_qpus = 6;
+  cfg.computing_qubits_per_qpu = 10;
+  const QuantumCloud cloud(cfg, ring_topology(6));
+  Graph pg(2);
+  for (NodeId p = 0; p < 2; ++p) pg.set_node_weight(p, 5.0);
+  pg.add_edge(0, 1, 1.0);
+  detail::CenterMemo centers;
+  for (const std::vector<QpuId>& candidates :
+       {std::vector<QpuId>{0, 1, 2, 3, 4, 5},
+        std::vector<QpuId>{3, 4, 5, 0, 1, 2}}) {
+    const auto fresh = map_fresh(pg, cloud, candidates);
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ((*fresh)[0], candidates.front());
+    EXPECT_EQ(fresh, detail::map_partitions(pg, cloud, candidates, centers));
+  }
 }
 
 TEST(MapPartitions, TooFewCandidatesFails) {
@@ -144,7 +277,7 @@ TEST(MapPartitions, TooFewCandidatesFails) {
   Graph pg(3);
   pg.add_edge(0, 1, 5.0);
   pg.add_edge(1, 2, 5.0);
-  EXPECT_FALSE(detail::map_partitions(pg, cloud, {0, 1}).has_value());
+  EXPECT_FALSE(map_fresh(pg, cloud, {0, 1}).has_value());
 }
 
 TEST(MapPartitions, HeavyNeighboursLandClose) {
@@ -157,8 +290,7 @@ TEST(MapPartitions, HeavyNeighboursLandClose) {
   for (NodeId p = 0; p < 3; ++p) pg.set_node_weight(p, 5.0);
   pg.add_edge(0, 1, 100.0);
   pg.add_edge(1, 2, 100.0);
-  const auto mapping =
-      detail::map_partitions(pg, cloud, {0, 1, 2, 3, 4, 5});
+  const auto mapping = map_fresh(pg, cloud, {0, 1, 2, 3, 4, 5});
   ASSERT_TRUE(mapping.has_value());
   // Adjacent parts must sit on adjacent QPUs.
   EXPECT_EQ(cloud.distance((*mapping)[0], (*mapping)[1]), 1);

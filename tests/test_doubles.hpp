@@ -1,6 +1,9 @@
-// Shared test doubles for the engine suites (not a ctest target: only
-// tests/*_test.cpp files become test binaries).
+// Shared test doubles and placement assertions for the engine and placer
+// suites (not a ctest target: only tests/*_test.cpp files become test
+// binaries).
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
@@ -10,6 +13,37 @@
 #include "placement/placement.hpp"
 
 namespace cloudqc::testing {
+
+/// Exact (==) equality of every Placement field; a failure names the first
+/// field that differs.
+inline ::testing::AssertionResult identical_placements(const Placement& a,
+                                                       const Placement& b) {
+  if (a.qubit_to_qpu != b.qubit_to_qpu) {
+    return ::testing::AssertionFailure() << "qubit_to_qpu differs";
+  }
+  if (a.qubits_per_qpu != b.qubits_per_qpu) {
+    return ::testing::AssertionFailure() << "qubits_per_qpu differs";
+  }
+  if (a.comm_cost != b.comm_cost || a.remote_ops != b.remote_ops ||
+      a.est_time != b.est_time || a.score != b.score) {
+    return ::testing::AssertionFailure()
+           << "comm_cost " << a.comm_cost << " vs " << b.comm_cost
+           << ", remote_ops " << a.remote_ops << " vs " << b.remote_ops
+           << ", est_time " << a.est_time << " vs " << b.est_time
+           << ", score " << a.score << " vs " << b.score;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// As above for placer results: both empty, or both set and identical.
+inline ::testing::AssertionResult identical_placements(
+    const std::optional<Placement>& a, const std::optional<Placement>& b) {
+  if (a.has_value() != b.has_value()) {
+    return ::testing::AssertionFailure() << "only one placement is set";
+  }
+  return a.has_value() ? identical_placements(*a, *b)
+                       : ::testing::AssertionSuccess();
+}
 
 /// Forwards to a real placer and counts placement invocations — used by
 /// the admission-gate and placement-cache suites to prove that suppressed
