@@ -135,8 +135,8 @@ bool identical(const std::vector<JobCompletion>& a,
   return true;
 }
 
-bool stats_identical(const std::vector<IncomingJobStats>& a,
-                     const std::vector<IncomingJobStats>& b) {
+bool stats_identical(const std::vector<JobStats>& a,
+                     const std::vector<JobStats>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].placed_time != b[i].placed_time ||
@@ -328,7 +328,7 @@ int main() {
     const auto start = Clock::now();
     auto stats =
         run_incoming(trace, trace_cloud, counting, *trace_alloc, options);
-    return std::tuple<std::vector<IncomingJobStats>, double, std::uint64_t>{
+    return std::tuple<std::vector<JobStats>, double, std::uint64_t>{
         std::move(stats), seconds_since(start), counting.calls()};
   };
   const auto [stats_gated, wall_gated, calls_gated] = run_trace(true);

@@ -1,10 +1,11 @@
-// Capacity-signature admission gate shared by the batch and incoming
-// engines (core/multi_tenant.cpp, core/incoming.cpp).
+// Capacity-signature admission gate of the shared job lifecycle
+// (core/job_lifecycle.cpp), which runs the batch, incoming and streaming
+// engines.
 //
-// Both engines keep a queue of jobs that could not be placed yet and used
-// to re-run a full placement for every queued job at every decision point
-// (each arrival and each completion) — with an optimizing placer that is a
-// whole annealing/genetic run per queued job per event. Placement failure
+// The lifecycle keeps a queue of jobs that could not be placed yet. The
+// engines used to re-run a full placement for every queued job at every
+// decision point (each arrival and each completion) — with an optimizing
+// placer that is a whole annealing/genetic run per queued job per event. Placement failure
 // is capacity-driven, so those retries are wasted whenever the cloud got
 // no richer: a job that failed under some free-computing state cannot
 // succeed under a state that is nowhere better. The gate records the

@@ -9,7 +9,7 @@
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
 #include "common/rng.hpp"
-#include "core/multi_tenant.hpp"
+#include "core/job_lifecycle.hpp"
 #include "metrics/streaming_metrics.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
@@ -17,48 +17,9 @@
 
 namespace cloudqc {
 
-/// One entry of an arrival trace: a circuit and its submission time.
-struct ArrivingJob {
-  Circuit circuit;
-  SimTime arrival = 0.0;
-};
-
-/// Per-job outcome of one incoming-mode run (indexed like the trace).
-struct IncomingJobStats {
-  std::string name;
-  SimTime arrival = 0.0;
-  SimTime placed_time = 0.0;
-  SimTime completion_time = 0.0;
-  /// JCT measured from arrival (queueing + execution).
-  double jct() const { return completion_time - arrival; }
-  std::size_t remote_ops = 0;
-  int qpus_used = 0;
-  /// First-order output-fidelity estimate (see FidelityModel).
-  double est_fidelity = 1.0;
-  /// Times the job was displaced (churn) or preempted and re-run from
-  /// scratch; placed_time/remote_ops/qpus_used describe the final run.
-  int restarts = 0;
-};
-
-/// Knobs of run_incoming.
-struct IncomingOptions {
-  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
-  std::uint64_t seed = 1;
-  /// Change-gated decision points (see README "Simulator event loop &
-  /// decision points"). Both default on; the ungated paths are kept as
-  /// the regression baseline for bench_network_sim and for A/B studies.
-  /// `gated_admission` suppresses placement retries for queued jobs until
-  /// computing qubits have been released since their last failed attempt
-  /// (capacity-signature rule; bypassed whenever the cloud is idle).
-  /// `gated_allocation` is NetworkSimulator::set_change_gated.
-  bool gated_admission = true;
-  bool gated_allocation = true;
-  /// Optional cross-request placement cache (not owned; see
-  /// placement/placement_cache.hpp). Null keeps the exact pre-cache
-  /// behaviour: every admission attempt runs the placer cold. The caller
-  /// owns the cache so it can persist across runs and read stats; it must
-  /// only be shared across *serial* runs against the same cloud topology.
-  PlacementCache* cache = nullptr;
+/// Knobs of run_incoming (the shared ones live in TenantEngineOptions;
+/// classes are indexed like the trace).
+struct IncomingOptions : TenantEngineOptions {
   /// Optional streaming-aggregates sink: every completed job folds its
   /// JCT/fidelity/makespan in (O(1) residual, quantiles via the sketch).
   /// Callers that only need aggregates pair this with per_job_stats =
@@ -69,34 +30,24 @@ struct IncomingOptions {
   /// state instead of O(jobs) (the arrival trace itself remains the
   /// caller's O(jobs); run_streaming removes that too).
   bool per_job_stats = true;
-  /// Optional per-job tenant classes, indexed like the trace. Empty keeps
-  /// the classless FIFO queue bit-identical; non-empty must match
-  /// jobs.size(). Arrivals enter the queue before any strictly
-  /// lower-priority entry (stable within a priority level, so uniform
-  /// classes reproduce plain FIFO exactly), and preempt-enabled jobs may
-  /// evict strictly-lower-priority in-flight work when placement fails.
-  std::vector<JobClass> classes;
-  /// Optional maintenance/churn timeline (not owned; see
-  /// cloud/churn.hpp and MultiTenantOptions::churn — same semantics).
-  const ChurnPlan* churn = nullptr;
 };
 
 /// Run an arrival trace to completion. Jobs must be sorted by
-/// non-decreasing arrival time. Admission is FIFO with head-of-line
-/// skipping (a job that cannot be placed right now does not block smaller
-/// jobs behind it, but keeps its queue position).
-std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
-                                           QuantumCloud& cloud,
-                                           const Placer& placer,
-                                           const CommAllocator& allocator,
-                                           const IncomingOptions& options);
+/// non-decreasing arrival time. Admission is FIFO (priority-first with
+/// classes) with head-of-line skipping: a job that cannot be placed right
+/// now does not block smaller jobs behind it, but keeps its queue position.
+/// Jobs larger than the cloud and jobs that can never be admitted into an
+/// idle cloud throw std::logic_error.
+std::vector<JobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
+                                   QuantumCloud& cloud, const Placer& placer,
+                                   const CommAllocator& allocator,
+                                   const IncomingOptions& options);
 
 /// Convenience overload with default options and the given seed.
-std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
-                                           QuantumCloud& cloud,
-                                           const Placer& placer,
-                                           const CommAllocator& allocator,
-                                           std::uint64_t seed = 1);
+std::vector<JobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
+                                   QuantumCloud& cloud, const Placer& placer,
+                                   const CommAllocator& allocator,
+                                   std::uint64_t seed = 1);
 
 /// Build a Poisson arrival trace: exponential inter-arrival gaps with the
 /// given mean, circuits drawn uniformly from `names`.

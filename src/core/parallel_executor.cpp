@@ -63,12 +63,12 @@ std::vector<IndependentJobResult> ParallelExecutor::run_independent(
   return results;
 }
 
-std::vector<std::vector<TenantJobStats>> ParallelExecutor::run_batch_sweep(
+std::vector<std::vector<JobStats>> ParallelExecutor::run_batch_sweep(
     const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
     const Placer& placer, const CommAllocator& allocator,
     const MultiTenantOptions& base, int num_runs) {
   CLOUDQC_CHECK(num_runs >= 0);
-  std::vector<std::vector<TenantJobStats>> runs(
+  std::vector<std::vector<JobStats>> runs(
       static_cast<std::size_t>(num_runs));
   for_each_index(runs.size(), [&](std::size_t r) {
     MultiTenantOptions options = base;
@@ -82,12 +82,12 @@ std::vector<std::vector<TenantJobStats>> ParallelExecutor::run_batch_sweep(
   return runs;
 }
 
-std::vector<std::vector<IncomingJobStats>> ParallelExecutor::run_incoming_sweep(
+std::vector<std::vector<JobStats>> ParallelExecutor::run_incoming_sweep(
     const std::vector<ArrivingJob>& jobs, const QuantumCloud& cloud,
     const Placer& placer, const CommAllocator& allocator,
     std::uint64_t base_seed, int num_runs) {
   CLOUDQC_CHECK(num_runs >= 0);
-  std::vector<std::vector<IncomingJobStats>> runs(
+  std::vector<std::vector<JobStats>> runs(
       static_cast<std::size_t>(num_runs));
   for_each_index(runs.size(), [&](std::size_t r) {
     QuantumCloud view = cloud;

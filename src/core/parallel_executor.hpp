@@ -85,14 +85,14 @@ class ParallelExecutor {
   /// sharing one across concurrently executing runs would make each run's
   /// hit pattern depend on worker scheduling, breaking the bit-identical
   /// determinism contract.
-  std::vector<std::vector<TenantJobStats>> run_batch_sweep(
+  std::vector<std::vector<JobStats>> run_batch_sweep(
       const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
       const Placer& placer, const CommAllocator& allocator,
       const MultiTenantOptions& base, int num_runs);
 
   /// Repeated stochastic incoming-mode runs: like run_batch_sweep for
   /// run_incoming.
-  std::vector<std::vector<IncomingJobStats>> run_incoming_sweep(
+  std::vector<std::vector<JobStats>> run_incoming_sweep(
       const std::vector<ArrivingJob>& jobs, const QuantumCloud& cloud,
       const Placer& placer, const CommAllocator& allocator,
       std::uint64_t base_seed, int num_runs);

@@ -448,7 +448,7 @@ void validate(const ScenarioSpec& spec) {
     // make results depend on worker scheduling.
     throw ScenarioError("scenario '" + spec.name +
                         "': cache requires a serial engine (multi_tenant, "
-                        "incoming or network_sim)");
+                        "incoming, network_sim or streaming)");
   }
   if (spec.engine.cache_capacity < 1) {
     throw ScenarioError("scenario '" + spec.name + "': cache_capacity < 1");
@@ -1113,54 +1113,36 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       }
       break;
     }
-    case EngineMode::kMultiTenant: {
-      const std::vector<Circuit> jobs =
-          strip_arrivals(build_trace(spec.workload));
-      MultiTenantOptions options;
-      options.fifo = spec.engine.fifo;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.churn = churn_on ? &churn_plan : nullptr;
-      std::vector<int> tenant_of;
-      if (!spec.tenants.empty()) {
-        tenant_of = assign_tenants(spec.tenants, jobs.size(),
-                                   spec.workload.trace_seed);
-        options.classes = classes_for(spec.tenants, tenant_of);
-      }
-      const auto stats =
-          run_batch(jobs, cloud, counting, *allocator, options);
-      result.jobs.resize(stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        ScenarioJobResult& job = result.jobs[i];
-        job.name = stats[i].name;
-        job.placed_time = stats[i].placed_time;
-        job.completion_time = stats[i].completion_time;
-        job.remote_ops = stats[i].remote_ops;
-        job.qpus_used = stats[i].qpus_used;
-        job.est_fidelity = stats[i].est_fidelity;
-        job.restarts = stats[i].restarts;
-        if (!tenant_of.empty()) job.tenant = tenant_of[i];
-      }
-      break;
-    }
+    case EngineMode::kMultiTenant:
     case EngineMode::kIncoming: {
-      const std::vector<ArrivingJob> trace = build_trace(spec.workload);
-      IncomingOptions options;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.churn = churn_on ? &churn_plan : nullptr;
+      std::vector<ArrivingJob> trace = build_trace(spec.workload);
       std::vector<int> tenant_of;
       if (!spec.tenants.empty()) {
         tenant_of = assign_tenants(spec.tenants, trace.size(),
                                    spec.workload.trace_seed);
-        options.classes = classes_for(spec.tenants, tenant_of);
       }
-      const auto stats =
-          run_incoming(trace, cloud, counting, *allocator, options);
+      auto configure = [&](TenantEngineOptions& options) {
+        options.seed = spec.engine.seed;
+        options.gated_admission = spec.engine.gated_admission;
+        options.gated_allocation = spec.engine.gated_allocation;
+        options.cache = cache.get();
+        options.churn = churn_on ? &churn_plan : nullptr;
+        if (!tenant_of.empty()) {
+          options.classes = classes_for(spec.tenants, tenant_of);
+        }
+      };
+      std::vector<JobStats> stats;
+      if (spec.engine.mode == EngineMode::kMultiTenant) {
+        MultiTenantOptions options;
+        configure(options);
+        options.fifo = spec.engine.fifo;
+        stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
+                          *allocator, options);
+      } else {
+        IncomingOptions options;
+        configure(options);
+        stats = run_incoming(trace, cloud, counting, *allocator, options);
+      }
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
         ScenarioJobResult& job = result.jobs[i];

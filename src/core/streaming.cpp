@@ -1,18 +1,11 @@
 #include "core/streaming.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
 #include "circuit/workloads.hpp"
 #include "common/check.hpp"
-#include "core/admission_gate.hpp"
-#include "core/multi_tenant.hpp"
-#include "placement/placement_cache.hpp"
-#include "sim/network_sim.hpp"
 
 namespace cloudqc {
 
@@ -32,23 +25,30 @@ class VectorSource final : public JobSource {
   std::size_t next_ = 0;
 };
 
-/// Shared shape of the generator-backed sources: drives the *same* RNG
-/// draw sequence as the materialising trace builders (gap draw, then
-/// circuit pick, per job), with a per-name template cache so each arrival
-/// costs one Circuit copy instead of a generator run.
-class GeneratorSource : public JobSource {
+/// Generator-backed source: drives the *same* RNG draw sequence as
+/// burst_trace() (gap draw at each burst start, then circuit pick, per job)
+/// with a per-name template cache, so each arrival costs one Circuit copy
+/// instead of a generator run. A Poisson stream is bursts of one.
+class BurstSource final : public JobSource {
  public:
-  GeneratorSource(std::vector<std::string> names, int num_jobs,
-                  std::uint64_t seed)
-      : names_(std::move(names)), num_jobs_(num_jobs), rng_(seed) {
+  BurstSource(std::vector<std::string> names, int num_jobs, int burst_size,
+              double mean_gap, std::uint64_t seed)
+      : names_(std::move(names)),
+        num_jobs_(num_jobs),
+        burst_size_(burst_size),
+        mean_gap_(mean_gap),
+        rng_(seed) {
     CLOUDQC_CHECK(!names_.empty());
     CLOUDQC_CHECK(num_jobs_ >= 0);
+    CLOUDQC_CHECK(burst_size_ >= 1);
+    CLOUDQC_CHECK(mean_gap_ > 0.0);
   }
 
   std::optional<ArrivingJob> next() override {
     if (produced_ >= num_jobs_) return std::nullopt;
-    t_ = next_arrival(produced_);
-    ++produced_;
+    if (produced_++ % burst_size_ == 0) {
+      t_ += -mean_gap_ * std::log1p(-rng_.uniform());
+    }
     const std::string& name = rng_.pick(names_);
     auto it = templates_.find(name);
     if (it == templates_.end()) {
@@ -57,58 +57,15 @@ class GeneratorSource : public JobSource {
     return ArrivingJob{it->second, t_};
   }
 
- protected:
-  virtual double next_arrival(int index) = 0;
-
-  double exponential_gap(double mean_gap) {
-    return -mean_gap * std::log1p(-rng_.uniform());
-  }
-
-  double t_ = 0.0;
-
  private:
   std::vector<std::string> names_;
   int num_jobs_;
-  int produced_ = 0;
-  Rng rng_;
-  std::unordered_map<std::string, Circuit> templates_;
-};
-
-class PoissonSource final : public GeneratorSource {
- public:
-  PoissonSource(std::vector<std::string> names, int num_jobs,
-                double mean_gap, std::uint64_t seed)
-      : GeneratorSource(std::move(names), num_jobs, seed),
-        mean_gap_(mean_gap) {
-    CLOUDQC_CHECK(mean_gap_ > 0.0);
-  }
-
- protected:
-  double next_arrival(int) override { return t_ + exponential_gap(mean_gap_); }
-
- private:
-  double mean_gap_;
-};
-
-class BurstSource final : public GeneratorSource {
- public:
-  BurstSource(std::vector<std::string> names, int num_jobs, int burst_size,
-              double mean_gap, std::uint64_t seed)
-      : GeneratorSource(std::move(names), num_jobs, seed),
-        burst_size_(burst_size),
-        mean_gap_(mean_gap) {
-    CLOUDQC_CHECK(burst_size_ >= 1);
-    CLOUDQC_CHECK(mean_gap_ > 0.0);
-  }
-
- protected:
-  double next_arrival(int index) override {
-    return index % burst_size_ == 0 ? t_ + exponential_gap(mean_gap_) : t_;
-  }
-
- private:
   int burst_size_;
   double mean_gap_;
+  int produced_ = 0;
+  double t_ = 0.0;
+  Rng rng_;
+  std::unordered_map<std::string, Circuit> templates_;
 };
 
 }  // namespace
@@ -120,8 +77,7 @@ std::unique_ptr<JobSource> make_vector_source(std::vector<ArrivingJob> jobs) {
 std::unique_ptr<JobSource> make_poisson_source(std::vector<std::string> names,
                                                int num_jobs, double mean_gap,
                                                std::uint64_t seed) {
-  return std::make_unique<PoissonSource>(std::move(names), num_jobs, mean_gap,
-                                         seed);
+  return make_burst_source(std::move(names), num_jobs, 1, mean_gap, seed);
 }
 
 std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
@@ -136,204 +92,18 @@ StreamingMetrics run_streaming(JobSource& source, QuantumCloud& cloud,
                                const Placer& placer,
                                const CommAllocator& allocator,
                                const StreamingOptions& options) {
-  CLOUDQC_CHECK(options.max_pending >= 1);
   CLOUDQC_CHECK(options.intake_shards >= 1);
-  const bool reject_mode =
+  LifecycleSettings settings;
+  settings.max_pending = options.max_pending;
+  settings.reject_overflow =
       options.backpressure == StreamingBackpressure::kReject;
-  const std::size_t num_shards =
-      static_cast<std::size_t>(options.intake_shards);
-
-  Rng rng(options.seed);
-  NetworkSimulator sim(cloud, allocator, rng.fork());
-  sim.set_change_gated(options.gated_allocation);
-  sim.set_recycle_completed(true);
-  AdmissionGate gate(options.max_pending, options.gated_admission);
-
-  // Arrived, not yet placed: one FIFO deque per intake shard (job i lands
-  // in shard i % num_shards), bounded to max_pending entries in total.
-  struct PendingJob {
-    Circuit circuit;
-    SimTime arrival = 0.0;
-    std::uint64_t id = 0;  // submission index; the admission-gate key
-  };
-  std::vector<std::deque<PendingJob>> shards(num_shards);
-  std::size_t pending_count = 0;
-
-  // Placed, still executing. The map node owns the Circuit the simulator
-  // points into; erased (and the sim slot recycled) at completion.
-  struct InFlight {
-    std::unique_ptr<Circuit> circuit;
-    SimTime arrival = 0.0;
-    std::size_t shard = 0;
-    std::vector<int> reservation;
-  };
-  std::unordered_map<int, InFlight> in_flight;
-
-  // All counters fold into per-shard metrics and merge — in fixed shard
-  // order — at the end; only the lifecycle high-water marks are global.
-  std::vector<StreamingMetrics> shard_metrics(num_shards);
-  std::uint64_t submitted = 0, completed = 0, rejected = 0;
-  std::uint64_t peak_pending = 0, peak_in_flight = 0;
-  std::uint64_t next_id = 0;
-  SimTime last_arrival = -std::numeric_limits<SimTime>::infinity();
-
-  auto checkpoint = [&]() {
-    if (options.checkpoint_interval == 0 || !options.on_checkpoint ||
-        completed % options.checkpoint_interval != 0) {
-      return;
-    }
-    StreamingProgress progress;
-    progress.submitted = submitted;
-    progress.completed = completed;
-    progress.rejected = rejected;
-    progress.pending = pending_count;
-    progress.in_flight = in_flight.size();
-    progress.sim_now = sim.now();
-    options.on_checkpoint(progress);
-  };
-
-  auto ingest = [&](ArrivingJob&& job) {
-    CLOUDQC_CHECK_MSG(job.arrival >= last_arrival,
-                      "JobSource must yield non-decreasing arrival times");
-    last_arrival = job.arrival;
-    const std::uint64_t id = next_id++;
-    const std::size_t shard = id % num_shards;
-    ++submitted;
-    ++shard_metrics[shard].submitted;
-    if (job.circuit.num_qubits() > cloud.total_computing_capacity()) {
-      // Can never fit any reachable capacity state: skip and count, the
-      // streaming analogue of check_fits_cloud's precondition throw.
-      ++rejected;
-      ++shard_metrics[shard].rejected;
-      ++shard_metrics[shard].rejected_oversize;
-      return;
-    }
-    if (pending_count >= options.max_pending) {
-      // Only reachable in reject mode; defer closes intake before this.
-      ++rejected;
-      ++shard_metrics[shard].rejected;
-      return;
-    }
-    shards[shard].push_back({std::move(job.circuit), job.arrival, id});
-    ++pending_count;
-    if (pending_count > peak_pending) peak_pending = pending_count;
-  };
-
-  // One admission round over the shards in fixed index order, FIFO with
-  // head-of-line skipping inside each shard — run_incoming's discipline
-  // applied per shard. `force` bypasses the capacity signature (idle
-  // cloud: a stochastic placer gets a fresh shot before the engine would
-  // otherwise have to drop).
-  auto admit = [&](bool force) {
-    gate.refresh(cloud);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      auto& shard = shards[s];
-      for (auto it = shard.begin(); it != shard.end();) {
-        if (!force && !gate.should_attempt(it->id)) {
-          ++it;
-          continue;
-        }
-        const auto placement = cached_place(options.cache, it->circuit,
-                                            cloud, placer, rng,
-                                            &gate.signature());
-        if (!placement.has_value()) {
-          gate.record_failure(it->id, it->circuit.num_qubits());
-          ++it;
-          continue;
-        }
-        gate.record_admission(it->id);
-        CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-        gate.refresh(cloud);
-        auto circuit = std::make_unique<Circuit>(std::move(it->circuit));
-        const int sim_id = sim.add_job(*circuit, placement->qubit_to_qpu);
-        InFlight record;
-        record.circuit = std::move(circuit);
-        record.arrival = it->arrival;
-        record.shard = s;
-        record.reservation = placement->qubits_per_qpu;
-        CLOUDQC_CHECK(in_flight.emplace(sim_id, std::move(record)).second);
-        if (in_flight.size() > peak_in_flight) {
-          peak_in_flight = in_flight.size();
-        }
-        it = shard.erase(it);
-        --pending_count;
-      }
-    }
-  };
-
-  // Pending jobs that just failed a *forced* attempt against a fully idle
-  // cloud can never be admitted (run_incoming throws here); a streaming
-  // service drops and counts them instead of wedging the stream.
-  auto drop_unadmittable = [&]() {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      for (PendingJob& job : shards[s]) {
-        gate.record_admission(job.id);  // release the gate entry
-        ++rejected;
-        ++shard_metrics[s].rejected;
-      }
-      shards[s].clear();
-    }
-    pending_count = 0;
-  };
-
-  std::optional<ArrivingJob> peeked = source.next();
-  while (peeked.has_value() || pending_count > 0 || !in_flight.empty()) {
-    const bool intake_open =
-        peeked.has_value() &&
-        (reject_mode || pending_count < options.max_pending);
-    const SimTime t_arrival =
-        intake_open ? peeked->arrival
-                    : std::numeric_limits<SimTime>::infinity();
-    const auto t_event = sim.next_event_time();
-
-    if (!t_event.has_value() || t_arrival <= *t_event) {
-      if (!intake_open && !t_event.has_value()) {
-        // Idle simulator and intake closed (stream exhausted, or deferred
-        // at max_pending with nothing in flight to free space).
-        CLOUDQC_CHECK_MSG(in_flight.empty(),
-                          "in-flight jobs with no scheduled events");
-        if (pending_count > 0) {
-          admit(/*force=*/true);
-          if (in_flight.empty()) drop_unadmittable();
-          continue;  // progress either way: admitted or drained
-        }
-        if (!peeked.has_value()) break;
-        continue;  // pending drained; intake reopens next iteration
-      }
-      // A deferred arrival can be older than the clock (events ran past
-      // its timestamp while intake was closed): admit it now, don't
-      // rewind.
-      sim.advance_time(std::max(t_arrival, sim.now()));
-      while (peeked.has_value() && peeked->arrival <= sim.now() &&
-             (reject_mode || pending_count < options.max_pending)) {
-        ingest(std::move(*peeked));
-        peeked = source.next();
-      }
-      admit(/*force=*/in_flight.empty());
-      continue;
-    }
-
-    if (const auto completion = sim.step()) {
-      const auto entry = in_flight.find(completion->job);
-      CLOUDQC_CHECK(entry != in_flight.end());
-      InFlight& record = entry->second;
-      cloud.release(record.reservation);
-      shard_metrics[record.shard].record_completion(
-          completion->time - record.arrival, completion->est_fidelity,
-          completion->time);
-      ++completed;
-      in_flight.erase(entry);
-      checkpoint();
-      admit(/*force=*/in_flight.empty());
-    }
-  }
-
-  StreamingMetrics total;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    total.merge(shard_metrics[s]);
-  }
-  total.peak_pending = peak_pending;
-  total.peak_in_flight = peak_in_flight;
+  settings.intake_shards = static_cast<std::size_t>(options.intake_shards);
+  settings.policy = UnplaceablePolicy::kDrop;
+  settings.recycle_slots = true;
+  settings.checkpoint_interval = options.checkpoint_interval;
+  settings.on_checkpoint = options.on_checkpoint;
+  const StreamingMetrics total =
+      run_lifecycle(source, cloud, placer, allocator, options, settings);
   CLOUDQC_CHECK(total.submitted == total.completed + total.rejected);
   return total;
 }

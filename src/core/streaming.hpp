@@ -13,10 +13,11 @@
 //              backpressure policy (defer = stop pulling until admissions
 //              free space, the arrival timestamps are the source's and do
 //              not shift; reject = keep pulling, drop and count overflow).
-//   admission— shards are scanned in fixed index order, FIFO with
-//              head-of-line skipping inside each shard, through the same
-//              AdmissionGate capacity-signature rule and (optional)
-//              placement cache as run_incoming.
+//   admission— the shared lifecycle core (core/job_lifecycle.hpp) scans
+//              shards in fixed index order, FIFO with head-of-line skipping
+//              inside each shard, through the same AdmissionGate
+//              capacity-signature rule and (optional) placement cache as
+//              run_incoming.
 //   drain    — completed jobs fold into per-shard StreamingMetrics
 //              (QuantileSketch JCT + fidelity) and every byte of per-job
 //              state is freed: the engine erases its in-flight record and
@@ -26,9 +27,10 @@
 //              of how many jobs have streamed through.
 //
 // Jobs that can never fit the cloud's total capacity, and pending jobs
-// that fail a forced placement attempt against a fully idle cloud, are
-// dropped and counted (rejected / rejected_oversize) instead of aborting —
-// a service skips a bad job, it does not wedge a million-job run on one.
+// that fail two forced placement attempts against a fully idle cloud with
+// nothing left that could change capacity, are dropped and counted
+// (rejected / rejected_oversize) instead of aborting — a service skips a
+// bad job, it does not wedge a million-job run on one.
 //
 // Determinism contract: a (source, seed, options) triple fully determines
 // the resulting StreamingMetrics at any worker count. The engine is a
@@ -49,15 +51,6 @@
 #include "metrics/streaming_metrics.hpp"
 
 namespace cloudqc {
-
-/// Pull-based job stream: next() yields jobs with non-decreasing arrival
-/// times until exhausted (nullopt). Sources own their RNG, so a (source
-/// factory args, seed) pair fully determines the stream.
-class JobSource {
- public:
-  virtual ~JobSource() = default;
-  virtual std::optional<ArrivingJob> next() = 0;
-};
 
 /// Stream over a pre-built trace (tests, QASM lists, parity harnesses).
 std::unique_ptr<JobSource> make_vector_source(std::vector<ArrivingJob> jobs);
@@ -88,26 +81,10 @@ enum class StreamingBackpressure {
   kReject,
 };
 
-/// Mid-run state snapshot handed to StreamingOptions::on_checkpoint.
-struct StreamingProgress {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t pending = 0;    ///< intake queues (arrived, not placed)
-  std::uint64_t in_flight = 0;  ///< placed, still executing
-  double sim_now = 0.0;
-};
-
-/// Knobs of run_streaming.
-struct StreamingOptions {
-  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
-  std::uint64_t seed = 1;
-  /// Change-gated decision points, as in IncomingOptions.
-  bool gated_admission = true;
-  bool gated_allocation = true;
-  /// Optional cross-request placement cache (not owned); at streaming
-  /// traffic this is what keeps placement off the critical path.
-  PlacementCache* cache = nullptr;
+/// Knobs of run_streaming (the shared ones live in EngineOptions; at
+/// streaming traffic the placement cache is what keeps placement off the
+/// critical path).
+struct StreamingOptions : EngineOptions {
   /// Bound on the pending set (arrived, not yet placed). The engine's
   /// memory residual is O(max_pending + in-flight + sketches).
   std::size_t max_pending = 4096;

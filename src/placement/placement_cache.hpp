@@ -20,8 +20,9 @@
 //     instead of a cold random assignment.
 //
 // Determinism contract: the cache is consulted only from serial admission
-// loops (run_batch / run_incoming / the network-sim scenario engine), so
-// its contents are a pure function of the request sequence and seed.
+// loops (the job lifecycle behind run_batch / run_incoming /
+// run_streaming, and the network-sim scenario engine), so its contents
+// are a pure function of the request sequence and seed.
 // Turning the cache on changes *which* placements are computed (fewer) and
 // therefore the engine trajectory — exactly like the admission gate — but
 // results remain bit-identical across worker counts for a fixed seed,
@@ -54,8 +55,8 @@ namespace cloudqc {
 
 class CsrAdjacency;  // placement/incremental_cost.hpp
 
-/// Cache knobs, engine-facing (MultiTenantOptions / IncomingOptions carry a
-/// non-owning PlacementCache*; scenario specs carry these and the engine
+/// Cache knobs, engine-facing (EngineOptions carries a non-owning
+/// PlacementCache*; scenario specs carry these and the engine
 /// builds the cache per run).
 struct CacheOptions {
   /// Bound on cached fingerprints across all shards (LRU-evicted).

@@ -17,9 +17,9 @@
 // kept behind set_change_gated(false) as the regression baseline
 // (bench_network_sim fails CI when gating stops paying for itself).
 //
-// The simulator supports dynamic job admission, which is how the
-// multi-tenant engine (core/multi_tenant.hpp) runs concurrent tenants on a
-// shared network.
+// The simulator supports dynamic job admission, which is how the shared
+// job lifecycle (core/job_lifecycle.hpp) runs concurrent tenants on one
+// network.
 //
 // Concurrency contract: a NetworkSimulator instance is confined to one
 // thread, but it only *reads* the cloud and the allocator and owns its RNG

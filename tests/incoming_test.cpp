@@ -145,7 +145,7 @@ TEST(Incoming, AdmissionGateSuppressesRetriesWithoutRelease) {
     options.gated_allocation = gated;
     auto stats = run_incoming(trace, cloud, placer, *make_cloudqc_allocator(),
                               options);
-    return std::pair<std::uint64_t, std::vector<IncomingJobStats>>{
+    return std::pair<std::uint64_t, std::vector<JobStats>>{
         placer.calls(), std::move(stats)};
   };
   const auto [gated_calls, gated_stats] = run(true);
@@ -240,7 +240,7 @@ TEST(Incoming, AdmissionGateSkipsWakesThatCannotFit) {
     options.gated_allocation = gated;
     auto stats = run_incoming(trace, cloud, placer, *make_cloudqc_allocator(),
                               options);
-    return std::pair<std::uint64_t, std::vector<IncomingJobStats>>{
+    return std::pair<std::uint64_t, std::vector<JobStats>>{
         placer.calls(), std::move(stats)};
   };
   const auto [gated_calls, gated_stats] = run(true);
@@ -321,6 +321,26 @@ TEST(Incoming, PreemptEnabledArrivalEvictsLowerPriority) {
   EXPECT_GT(stats[1].completion_time, 0.0);
   // The victim finishes after the preemptor that displaced it.
   EXPECT_GT(stats[0].completion_time, stats[1].completion_time);
+  EXPECT_EQ(cloud.total_free_computing(), free_before);
+}
+
+TEST(Incoming, ChurnFenceReleasedWhenRunEndsInsideWindow) {
+  // QPU 3 goes offline at t = 1 and stays down past the end of the run:
+  // its fence must still be lifted when the engine returns.
+  QuantumCloud cloud = paper_cloud();
+  const int free_before = cloud.total_free_computing();
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  std::vector<ArrivingJob> trace;
+  trace.push_back({gen::ghz(30), 0.0});
+  trace.push_back({gen::ghz(40), 0.0});
+  ChurnSpec churn;
+  churn.windows.push_back({3, 1.0, 1e9});
+  const ChurnPlan plan = build_churn_plan(churn, cloud.num_qpus());
+  IncomingOptions options;
+  options.churn = &plan;
+  const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
+  for (const auto& s : stats) EXPECT_GT(s.completion_time, 0.0);
   EXPECT_EQ(cloud.total_free_computing(), free_before);
 }
 

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
+#include "core/batch_manager.hpp"
+#include "core/incoming.hpp"
 #include "core/multi_tenant.hpp"
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
+#include "placement/placement_cache.hpp"
 #include "test_doubles.hpp"
 
 namespace cloudqc {
@@ -138,7 +142,7 @@ TEST(MultiTenant, AdmissionGateParityWithUngatedBaseline) {
     options.gated_allocation = gated;
     auto stats =
         run_batch(jobs, cloud, placer, *make_cloudqc_allocator(), options);
-    return std::pair<std::uint64_t, std::vector<TenantJobStats>>{
+    return std::pair<std::uint64_t, std::vector<JobStats>>{
         placer.calls(), std::move(stats)};
   };
   const auto [gated_calls, gated_stats] = run(true);
@@ -177,8 +181,8 @@ std::vector<Circuit> medium_batch() {
   return jobs;
 }
 
-void expect_same_stats(const std::vector<TenantJobStats>& a,
-                       const std::vector<TenantJobStats>& b) {
+void expect_same_stats(const std::vector<JobStats>& a,
+                       const std::vector<JobStats>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
@@ -291,6 +295,131 @@ TEST(MultiTenant, PreemptionEvictsStrictlyLowerPriority) {
   EXPECT_EQ(stats[1].restarts, 0);  // the preemptor itself is never evicted
   for (const auto& s : stats) EXPECT_GT(s.completion_time, 0.0);
   EXPECT_EQ(cloud.total_free_computing(), free_before);
+}
+
+TEST(MultiTenant, ChurnFenceReleasedWhenRunEndsInsideWindow) {
+  // QPU 3 goes offline at t = 1 and stays down past the end of the run:
+  // its fence must still be lifted when the engine returns.
+  QuantumCloud cloud = paper_cloud();
+  const int free_before = cloud.total_free_computing();
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  std::vector<Circuit> jobs;
+  jobs.push_back(gen::ghz(30));
+  jobs.push_back(gen::ghz(40));
+  ChurnSpec churn;
+  churn.windows.push_back({3, 1.0, 1e9});
+  const ChurnPlan plan = build_churn_plan(churn, cloud.num_qpus());
+  MultiTenantOptions options;
+  options.churn = &plan;
+  const auto stats = run_batch(jobs, cloud, *placer, *alloc, options);
+  for (const auto& s : stats) EXPECT_GT(s.completion_time, 0.0);
+  EXPECT_EQ(cloud.total_free_computing(), free_before);
+}
+
+// Batch is incoming at t = 0: run_batch(jobs) must equal run_incoming fed
+// the same jobs, all arriving at t = 0 in run_batch's admission order (with
+// classes permuted to match), field for field and bit for bit — across
+// churn (requeue and migrate), preempting classes, FIFO, the admission gate
+// on and off, and the placement cache.
+TEST(MultiTenant, BatchEqualsIncomingAllArrivingAtZero) {
+  struct Variant {
+    const char* name;
+    bool fifo = false;
+    bool gated = true;
+    bool cache = false;
+    bool classes = false;
+    int churn = 0;  // 0 none, 1 requeue, 2 migrate
+  };
+  const std::vector<Variant> variants = {
+      {"plain"},
+      {"fifo", true},
+      {"ungated", false, false},
+      {"cache", false, true, true},
+      {"requeue", false, true, false, false, 1},
+      {"migrate", false, true, false, false, 2},
+      {"preempt", false, false, false, true},
+      {"preempt+requeue", false, true, false, true, 1},
+      {"preempt+migrate+cache", false, true, true, true, 2},
+      {"fifo+migrate+ungated", true, false, false, false, 2},
+      {"fifo+preempt+ungated", true, false, false, true},
+      {"fifo+requeue+cache", true, true, true, false, 1},
+  };
+  std::vector<Circuit> jobs = medium_batch();
+  jobs.push_back(make_workload("qaoa_n50"));
+  jobs.push_back(make_workload("vqe_uccsd_n28"));
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  int restarts = 0;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    ChurnSpec churn;
+    churn.policy = v.churn == 2 ? ChurnPolicy::kMigrate : ChurnPolicy::kRequeue;
+    for (int q = 0; q < 10; ++q) churn.windows.push_back({q, 1.0, 2000.0});
+    churn.windows.push_back({12, 3000.0, 6000.0});
+    const ChurnPlan plan = build_churn_plan(churn, 20);
+
+    MultiTenantOptions batch;
+    batch.fifo = v.fifo;
+    batch.seed = 11;
+    batch.gated_admission = v.gated;
+    batch.gated_allocation = v.gated;
+    batch.churn = v.churn != 0 ? &plan : nullptr;
+    if (v.classes) {
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        batch.classes.push_back(i % 3 == 1 ? JobClass{2, true}
+                                           : JobClass{0, false});
+      }
+    }
+    PlacementCache batch_cache;
+    batch.cache = v.cache ? &batch_cache : nullptr;
+    QuantumCloud batch_cloud = paper_cloud(2);
+    const auto batch_stats =
+        run_batch(jobs, batch_cloud, *placer, *alloc, batch);
+
+    // run_batch's admission order: batch-manager (or FIFO) order, then a
+    // stable sort by priority.
+    auto order = v.fifo ? fifo_order(jobs.size()) : batch_order(jobs);
+    if (v.classes) {
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return batch.classes[a].priority >
+                                batch.classes[b].priority;
+                       });
+    }
+    std::vector<ArrivingJob> trace;
+    IncomingOptions incoming;
+    incoming.seed = batch.seed;
+    incoming.gated_admission = v.gated;
+    incoming.gated_allocation = v.gated;
+    incoming.churn = batch.churn;
+    for (const std::size_t idx : order) {
+      trace.push_back({jobs[idx], 0.0});
+      if (v.classes) incoming.classes.push_back(batch.classes[idx]);
+    }
+    PlacementCache incoming_cache;
+    incoming.cache = v.cache ? &incoming_cache : nullptr;
+    QuantumCloud incoming_cloud = paper_cloud(2);
+    const auto incoming_stats =
+        run_incoming(trace, incoming_cloud, *placer, *alloc, incoming);
+
+    ASSERT_EQ(incoming_stats.size(), batch_stats.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      SCOPED_TRACE("job " + std::to_string(order[k]));
+      const auto& b = batch_stats[order[k]];
+      const auto& in = incoming_stats[k];
+      EXPECT_EQ(b.name, in.name);
+      EXPECT_EQ(in.arrival, 0.0);
+      EXPECT_EQ(b.placed_time, in.placed_time);
+      EXPECT_EQ(b.completion_time, in.completion_time);
+      EXPECT_EQ(b.remote_ops, in.remote_ops);
+      EXPECT_EQ(b.qpus_used, in.qpus_used);
+      EXPECT_EQ(b.est_fidelity, in.est_fidelity);
+      EXPECT_EQ(b.restarts, in.restarts);
+      restarts += b.restarts;
+    }
+  }
+  EXPECT_GE(restarts, 1);
 }
 
 }  // namespace

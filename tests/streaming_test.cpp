@@ -11,6 +11,7 @@
 #include "core/streaming.hpp"
 #include "graph/topology.hpp"
 #include "sim/network_sim.hpp"
+#include "test_doubles.hpp"
 
 namespace cloudqc {
 namespace {
@@ -168,6 +169,33 @@ TEST(Streaming, OversizeJobIsSkippedNotFatal) {
   EXPECT_EQ(metrics.completed, 2u);
   EXPECT_EQ(metrics.rejected, 1u);
   EXPECT_EQ(metrics.rejected_oversize, 1u);
+}
+
+// A job that fits total capacity but fails even a forced attempt on an idle
+// cloud is dropped and counted as rejected (not oversize); the stream goes
+// on and every other job completes.
+TEST(Streaming, UnadmittableJobIsDroppedNotFatal) {
+  QuantumCloud cloud = paper_cloud();
+  const int free_before = cloud.total_free_computing();
+  const testing::RefusingPlacer placer(make_cloudqc_placer(), "ghz_n40");
+  const auto alloc = make_cloudqc_allocator();
+  std::vector<ArrivingJob> trace;
+  trace.push_back({gen::ghz(30), 0.0});
+  trace.push_back({gen::ghz(40), 1.0});  // refused on every attempt
+  trace.push_back({gen::ghz(30), 2.0});
+  trace.push_back({gen::ghz(30), 5000.0});
+  const auto source = make_vector_source(std::move(trace));
+  StreamingOptions options;
+  options.intake_shards = 2;
+  const StreamingMetrics metrics =
+      run_streaming(*source, cloud, placer, *alloc, options);
+  EXPECT_EQ(metrics.submitted, 4u);
+  EXPECT_EQ(metrics.completed, 3u);
+  EXPECT_EQ(metrics.rejected, 1u);
+  EXPECT_EQ(metrics.rejected_oversize, 0u);
+  EXPECT_EQ(metrics.submitted, metrics.completed + metrics.rejected);
+  EXPECT_EQ(metrics.jct.count(), 3u);
+  EXPECT_EQ(cloud.total_free_computing(), free_before);
 }
 
 TEST(Streaming, MetricsInvariantAcrossWorkerCounts) {

@@ -80,4 +80,35 @@ class CountingPlacer final : public Placer {
   mutable std::uint64_t calls_ = 0;
 };
 
+/// Forwards to a real placer except for circuits named `refused`, which it
+/// never places — a job that fits the cloud's total capacity yet fails
+/// every attempt, even against an idle cloud.
+class RefusingPlacer final : public Placer {
+ public:
+  RefusingPlacer(std::unique_ptr<Placer> inner, std::string refused)
+      : inner_(std::move(inner)), refused_(std::move(refused)) {}
+
+  std::string name() const override {
+    return "refusing(" + inner_->name() + ")";
+  }
+
+  std::optional<Placement> place(const Circuit& circuit,
+                                 const QuantumCloud& cloud,
+                                 Rng& rng) const override {
+    if (circuit.name() == refused_) return std::nullopt;
+    return inner_->place(circuit, cloud, rng);
+  }
+
+  std::optional<Placement> place_with_context(
+      const Circuit& circuit, const QuantumCloud& cloud, Rng& rng,
+      const PlacementContext& ctx) const override {
+    if (circuit.name() == refused_) return std::nullopt;
+    return inner_->place_with_context(circuit, cloud, rng, ctx);
+  }
+
+ private:
+  std::unique_ptr<Placer> inner_;
+  std::string refused_;
+};
+
 }  // namespace cloudqc::testing
