@@ -68,7 +68,9 @@ class JobLifecycle {
     CLOUDQC_CHECK(settings.max_pending >= 1);
     CLOUDQC_CHECK(settings.intake_shards >= 1);
     sim_.set_change_gated(options.gated_allocation);
-    sim_.set_recycle_completed(settings.recycle_slots);
+    // Completed and cancelled jobs free their simulator state at once; the
+    // core never reads simulator job ids after a job leaves.
+    sim_.set_recycle_completed(true);
     if (churn_ != nullptr && churn_->drift_amplitude > 0.0) {
       sim_.set_calibration_drift(churn_->drift_amplitude,
                                  churn_->drift_period);
@@ -82,9 +84,6 @@ class JobLifecycle {
     // A run can end while QPUs are still inside a maintenance window.
     cloud_.release(fenced_);
   }
-
-  JobLifecycle(const JobLifecycle&) = delete;
-  JobLifecycle& operator=(const JobLifecycle&) = delete;
 
   StreamingMetrics run() {
     const std::size_t num_churn =

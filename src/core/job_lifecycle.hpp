@@ -177,8 +177,6 @@ struct LifecycleSettings {
   /// index order and fold into per-shard metrics merged at the end.
   std::size_t intake_shards = 1;
   UnplaceablePolicy policy = UnplaceablePolicy::kThrow;
-  /// Simulator slot recycling (the streaming O(1)-residual contract).
-  bool recycle_slots = false;
   /// Optional per-job table indexed by submission order (not owned; sized
   /// by the caller).
   std::vector<JobStats>* table = nullptr;

@@ -99,7 +99,6 @@ StreamingMetrics run_streaming(JobSource& source, QuantumCloud& cloud,
       options.backpressure == StreamingBackpressure::kReject;
   settings.intake_shards = static_cast<std::size_t>(options.intake_shards);
   settings.policy = UnplaceablePolicy::kDrop;
-  settings.recycle_slots = true;
   settings.checkpoint_interval = options.checkpoint_interval;
   settings.on_checkpoint = options.on_checkpoint;
   const StreamingMetrics total =

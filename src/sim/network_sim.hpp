@@ -118,8 +118,8 @@ class NetworkSimulator {
   /// callers must consume each JobCompletion before admitting more work.
   /// Event trajectories, completion times and fidelities are bit-identical
   /// to the non-recycled run — allocation decisions never read job ids —
-  /// only the id labels differ. Off by default: the batch engines hand out
-  /// stable ids for post-run joins.
+  /// only the id labels differ. Off by default: direct callers (the
+  /// network-sim scenario engine, benches) join completions on stable ids.
   void set_recycle_completed(bool enabled) { recycle_completed_ = enabled; }
   bool recycle_completed() const { return recycle_completed_; }
 
