@@ -384,7 +384,7 @@ class JobLifecycle {
 
   void unplaceable(const LifecycleJob& job, bool oversize) {
     if (settings_.policy == UnplaceablePolicy::kThrow) {
-      if (oversize) check_fits_cloud(*job.circuit, cloud_);
+      if (oversize) check_fits_cloud(*job.circuit, cloud_);  // throws
       throw std::logic_error("deadlock: job '" + job.circuit->name() +
                              "' cannot be admitted into an idle cloud");
     }
