@@ -4,12 +4,14 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -129,14 +131,20 @@ std::uint64_t to_u64(const std::string& value, int line) {
 }
 
 double to_double(const std::string& value, int line) {
+  double parsed = 0.0;
   try {
     std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
+    parsed = std::stod(value, &pos);
     if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
   } catch (const std::exception&) {
     fail(line, "expected a number, got '" + value + "'");
   }
+  // inf and nan pass every range check in validate() and would fail deep
+  // inside an engine instead; 1e9 is the way to write "never".
+  if (!std::isfinite(parsed)) {
+    fail(line, "expected a finite number, got '" + value + "'");
+  }
+  return parsed;
 }
 
 bool to_bool(const std::string& value, int line) {
@@ -161,166 +169,314 @@ std::vector<std::string> to_list(const std::string& value) {
   return out;
 }
 
-void append_list(std::vector<std::string>& dst, const std::string& value) {
-  for (auto& item : to_list(value)) dst.push_back(std::move(item));
+/// Shortest %g rendering that parses back to exactly `value` (keeps
+/// to_ini() human-readable without losing round-trip precision).
+std::string fmt_double(double value) {
+  char buf[64];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (std::stod(buf) == value) break;
+  }
+  return buf;
 }
 
-void apply_cloud_key(CloudSpec& cloud, const std::string& key,
-                     const std::string& value, int line) {
+std::string fmt_bool(bool value) { return value ? "true" : "false"; }
+
+constexpr auto fmt_number = [](auto value) { return std::to_string(value); };
+
+std::string join(const std::vector<std::string>& items) {
+  std::string out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += items[i];
+  }
+  return out;
+}
+
+/// Characters allowed in tenant names and written into result filenames.
+bool is_name_char(char ch) {
+  return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' ||
+         ch == '-';
+}
+
+/// The tenant-name rule: non-empty, [A-Za-z0-9_-]+ (so to_ini round-trips)
+/// and unique. Returns what tenants[i] violates, or "" when it is valid.
+std::string tenant_name_error(const std::vector<TenantSpec>& tenants,
+                              std::size_t i) {
+  const std::string& name = tenants[i].name;
+  if (name.empty()) return "empty tenant name";
+  if (!std::all_of(name.begin(), name.end(), is_name_char)) {
+    return "tenant name must be [A-Za-z0-9_-]+, got '" + name + "'";
+  }
+  for (std::size_t j = 0; j < i; ++j) {
+    if (tenants[j].name == name) return "duplicate tenant '" + name + "'";
+  }
+  return "";
+}
+
+/// Largest sweep grid, and so also the largest single range axis.
+constexpr std::size_t kMaxSweepPoints = 1024;
+
+// ------------------------------------------------------------ key table
+
+/// INI sections. [tenant.NAME] is the one dotted header; [sweep] has no
+/// rows of its own, its axes name scalar rows of the other sections.
+enum class Section { kCloud, kWorkload, kEngine, kChurn, kTenant, kSweep };
+constexpr EnumName<Section> kSectionNames[] = {
+    {Section::kCloud, "cloud"},   {Section::kWorkload, "workload"},
+    {Section::kEngine, "engine"}, {Section::kChurn, "churn"},
+    {Section::kTenant, "tenant"}, {Section::kSweep, "sweep"},
+};
+
+std::optional<Section> find_section(const std::string& name) {
+  for (const auto& entry : kSectionNames) {
+    if (name == entry.name) return entry.value;
+  }
+  return std::nullopt;
+}
+
+/// scalar: set once, sweepable. list: each line appends, emitted as one
+/// line only when non-empty. repeated: each line appends one element,
+/// emitted one line per element.
+enum class KeyKind { kScalar, kList, kRepeated };
+
+/// How one key reads into and writes out of a spec. `tenant` indexes
+/// spec.tenants on tenant rows; other rows ignore it. `format` returns
+/// the values to_ini() writes, one `key = value` line each.
+struct KeyCodec {
+  KeyKind kind;
+  std::function<void(ScenarioSpec&, std::size_t tenant, const std::string&,
+                     int line)>
+      parse;
+  std::function<std::vector<std::string>(const ScenarioSpec&,
+                                         std::size_t tenant)>
+      format;
+};
+
+struct KeyRow {
+  Section section;
+  const char* key;
+  KeyCodec codec;
+};
+
+/// A scalar field named by `get(spec, tenant)`, read by `parse(value,
+/// line)` and written back by `format(field)`.
+template <typename Get, typename Parse, typename Format>
+KeyCodec scalar(Get get, Parse parse, Format format) {
+  return {KeyKind::kScalar,
+          [get, parse](ScenarioSpec& s, std::size_t t, const std::string& v,
+                       int line) { get(s, t) = parse(v, line); },
+          [get, format](const ScenarioSpec& s, std::size_t t) {
+            return std::vector<std::string>{format(get(s, t))};
+          }};
+}
+
+template <typename Get>
+KeyCodec int_key(Get get) { return scalar(get, to_int, fmt_number); }
+
+template <typename Get>
+KeyCodec u64_key(Get get) { return scalar(get, to_u64, fmt_number); }
+
+template <typename Get>
+KeyCodec double_key(Get get) { return scalar(get, to_double, fmt_double); }
+
+template <typename Get>
+KeyCodec bool_key(Get get) { return scalar(get, to_bool, fmt_bool); }
+
+template <typename E, std::size_t N, typename Get>
+KeyCodec enum_key(const EnumName<E> (&names)[N], const char* what, Get get) {
+  return scalar(
+      get,
+      [&names, what](const std::string& v, int) {
+        return parse_enum(names, v, what);
+      },
+      [&names](E v) { return enum_name(names, v); });
+}
+
+/// Topology family and capacity profile, named by cloud/topologies.hpp.
+template <typename T, typename Get>
+KeyCodec cloud_name_key(T (*parse)(const std::string&), Get get) {
+  return scalar(
+      get, [parse](const std::string& v, int) { return parse(v); },
+      [](T v) { return to_string(v); });
+}
+
+template <typename Get>
+KeyCodec list_key(Get get) {
+  return {KeyKind::kList,
+          [get](ScenarioSpec& s, std::size_t t, const std::string& v, int) {
+            for (std::string& item : to_list(v)) {
+              get(s, t).push_back(std::move(item));
+            }
+          },
+          [get](const ScenarioSpec& s, std::size_t t) {
+            const std::vector<std::string>& items = get(s, t);
+            if (items.empty()) return std::vector<std::string>{};
+            return std::vector<std::string>{join(items)};
+          }};
+}
+
+/// One maintenance window per line: qpu:start:end.
+KeyCodec window_key() {
+  return {KeyKind::kRepeated,
+          [](ScenarioSpec& s, std::size_t, const std::string& value,
+             int line) {
+            const std::size_t c1 = value.find(':');
+            const std::size_t c2 = c1 == std::string::npos
+                                       ? std::string::npos
+                                       : value.find(':', c1 + 1);
+            if (c1 == std::string::npos || c2 == std::string::npos) {
+              fail(line,
+                   "expected window = qpu:start:end, got '" + value + "'");
+            }
+            MaintenanceWindow w;
+            w.qpu = to_int(trim(value.substr(0, c1)), line);
+            w.start = to_double(trim(value.substr(c1 + 1, c2 - c1 - 1)), line);
+            w.end = to_double(trim(value.substr(c2 + 1)), line);
+            s.churn.windows.push_back(w);
+          },
+          [](const ScenarioSpec& s, std::size_t) {
+            std::vector<std::string> lines;
+            for (const MaintenanceWindow& w : s.churn.windows) {
+              lines.push_back(std::to_string(w.qpu) + ":" +
+                              fmt_double(w.start) + ":" + fmt_double(w.end));
+            }
+            return lines;
+          }};
+}
+
+// The spec field a row reads and writes; `t` picks a tenant row's tenant.
+#define SPEC_FIELD(path) \
+  [](auto& s, [[maybe_unused]] std::size_t t) -> auto& { return s.path; }
+
+/// Every INI key, grouped by section in to_ini() order. parse_scenario,
+/// the [sweep] axes and to_ini() all walk this one table.
+const std::vector<KeyRow>& key_table() {
+  using S = Section;
+  static const std::vector<KeyRow> table = {
+      {S::kCloud, "topology",
+       cloud_name_key(parse_topology_family, SPEC_FIELD(cloud.family))},
+      {S::kCloud, "num_qpus", int_key(SPEC_FIELD(cloud.num_qpus))},
+      {S::kCloud, "rows", int_key(SPEC_FIELD(cloud.rows))},
+      {S::kCloud, "cols", int_key(SPEC_FIELD(cloud.cols))},
+      {S::kCloud, "bridge_width", int_key(SPEC_FIELD(cloud.bridge_width))},
+      {S::kCloud, "fanout", int_key(SPEC_FIELD(cloud.fanout))},
+      {S::kCloud, "topology_seed", u64_key(SPEC_FIELD(cloud.topology_seed))},
+      {S::kCloud, "capacity_profile",
+       cloud_name_key(parse_capacity_profile, SPEC_FIELD(cloud.profile))},
+      {S::kCloud, "computing_qubits_per_qpu",
+       int_key(SPEC_FIELD(cloud.config.computing_qubits_per_qpu))},
+      {S::kCloud, "comm_qubits_per_qpu",
+       int_key(SPEC_FIELD(cloud.config.comm_qubits_per_qpu))},
+      {S::kCloud, "link_probability",
+       double_key(SPEC_FIELD(cloud.config.link_probability))},
+      {S::kCloud, "epr_success_prob",
+       double_key(SPEC_FIELD(cloud.config.epr_success_prob))},
+      {S::kCloud, "purification_level",
+       int_key(SPEC_FIELD(cloud.config.purification_level))},
+
+      {S::kWorkload, "source",
+       enum_key(kSourceNames, "workload source", SPEC_FIELD(workload.source))},
+      {S::kWorkload, "circuits", list_key(SPEC_FIELD(workload.circuits))},
+      {S::kWorkload, "qasm_files", list_key(SPEC_FIELD(workload.qasm_files))},
+      {S::kWorkload, "trace",
+       enum_key(kTraceNames, "trace shape", SPEC_FIELD(workload.trace))},
+      {S::kWorkload, "trace_jobs", int_key(SPEC_FIELD(workload.trace_jobs))},
+      {S::kWorkload, "trace_mean_gap",
+       double_key(SPEC_FIELD(workload.trace_mean_gap))},
+      {S::kWorkload, "trace_burst_size",
+       int_key(SPEC_FIELD(workload.trace_burst_size))},
+      {S::kWorkload, "trace_seed", u64_key(SPEC_FIELD(workload.trace_seed))},
+
+      {S::kEngine, "mode",
+       enum_key(kEngineNames, "engine mode", SPEC_FIELD(engine.mode))},
+      {S::kEngine, "placer",
+       enum_key(kPlacerNames, "placer", SPEC_FIELD(engine.placer))},
+      {S::kEngine, "allocator",
+       enum_key(kAllocatorNames, "allocator", SPEC_FIELD(engine.allocator))},
+      {S::kEngine, "router",
+       enum_key(kRouterNames, "router", SPEC_FIELD(engine.router))},
+      {S::kEngine, "seed", u64_key(SPEC_FIELD(engine.seed))},
+      {S::kEngine, "fifo", bool_key(SPEC_FIELD(engine.fifo))},
+      {S::kEngine, "gated_admission",
+       bool_key(SPEC_FIELD(engine.gated_admission))},
+      {S::kEngine, "gated_allocation",
+       bool_key(SPEC_FIELD(engine.gated_allocation))},
+      {S::kEngine, "workers", int_key(SPEC_FIELD(engine.workers))},
+      {S::kEngine, "cache", bool_key(SPEC_FIELD(engine.cache))},
+      {S::kEngine, "cache_capacity",
+       int_key(SPEC_FIELD(engine.cache_capacity))},
+      {S::kEngine, "max_pending", int_key(SPEC_FIELD(engine.max_pending))},
+      {S::kEngine, "backpressure",
+       enum_key(kBackpressureNames, "backpressure policy",
+                SPEC_FIELD(engine.backpressure))},
+      {S::kEngine, "intake_shards", int_key(SPEC_FIELD(engine.intake_shards))},
+
+      {S::kChurn, "policy",
+       enum_key(kChurnPolicyNames, "churn policy", SPEC_FIELD(churn.policy))},
+      {S::kChurn, "window", window_key()},
+      {S::kChurn, "random_windows", int_key(SPEC_FIELD(churn.random_windows))},
+      {S::kChurn, "horizon", double_key(SPEC_FIELD(churn.horizon))},
+      {S::kChurn, "mean_duration", double_key(SPEC_FIELD(churn.mean_duration))},
+      {S::kChurn, "seed", u64_key(SPEC_FIELD(churn.seed))},
+      {S::kChurn, "drift_amplitude",
+       double_key(SPEC_FIELD(churn.drift_amplitude))},
+      {S::kChurn, "drift_period", double_key(SPEC_FIELD(churn.drift_period))},
+
+      {S::kTenant, "priority", int_key(SPEC_FIELD(tenants[t].priority))},
+      {S::kTenant, "weight", double_key(SPEC_FIELD(tenants[t].weight))},
+      {S::kTenant, "slo_jct", double_key(SPEC_FIELD(tenants[t].slo_jct))},
+      {S::kTenant, "preempt", bool_key(SPEC_FIELD(tenants[t].preempt))},
+  };
+  return table;
+}
+
+#undef SPEC_FIELD
+
+const KeyRow* find_row(Section section, const std::string& key) {
+  for (const KeyRow& row : key_table()) {
+    if (row.section == section && key == row.key) return &row;
+  }
+  return nullptr;
+}
+
+/// Apply `value` through `row`; a tenant row fills the last tenant.
+void apply_row(const KeyRow& row, ScenarioSpec& spec,
+               const std::string& value, int line) {
+  const std::size_t tenant =
+      row.section == Section::kTenant ? spec.tenants.size() - 1 : 0;
   try {
-    if (key == "topology") {
-      cloud.family = parse_topology_family(value);
-    } else if (key == "num_qpus") {
-      cloud.num_qpus = to_int(value, line);
-    } else if (key == "rows") {
-      cloud.rows = to_int(value, line);
-    } else if (key == "cols") {
-      cloud.cols = to_int(value, line);
-    } else if (key == "bridge_width") {
-      cloud.bridge_width = to_int(value, line);
-    } else if (key == "fanout") {
-      cloud.fanout = to_int(value, line);
-    } else if (key == "topology_seed") {
-      cloud.topology_seed = to_u64(value, line);
-    } else if (key == "capacity_profile") {
-      cloud.profile = parse_capacity_profile(value);
-    } else if (key == "computing_qubits_per_qpu") {
-      cloud.config.computing_qubits_per_qpu =
-          to_int(value, line);
-    } else if (key == "comm_qubits_per_qpu") {
-      cloud.config.comm_qubits_per_qpu = to_int(value, line);
-    } else if (key == "link_probability") {
-      cloud.config.link_probability = to_double(value, line);
-    } else if (key == "epr_success_prob") {
-      cloud.config.epr_success_prob = to_double(value, line);
-    } else if (key == "purification_level") {
-      cloud.config.purification_level = to_int(value, line);
-    } else {
-      fail(line, "unknown [cloud] key '" + key + "'");
-    }
+    row.codec.parse(spec, tenant, value, line);
   } catch (const std::invalid_argument& e) {
     fail(line, e.what());
   }
 }
 
-void apply_workload_key(ScenarioWorkload& workload, const std::string& key,
-                        const std::string& value, int line) {
-  try {
-    if (key == "source") {
-      workload.source = parse_enum(kSourceNames, value, "workload source");
-    } else if (key == "circuits") {
-      append_list(workload.circuits, value);
-    } else if (key == "qasm_files") {
-      append_list(workload.qasm_files, value);
-    } else if (key == "trace") {
-      workload.trace = parse_enum(kTraceNames, value, "trace shape");
-    } else if (key == "trace_jobs") {
-      workload.trace_jobs = to_int(value, line);
-    } else if (key == "trace_mean_gap") {
-      workload.trace_mean_gap = to_double(value, line);
-    } else if (key == "trace_burst_size") {
-      workload.trace_burst_size = to_int(value, line);
-    } else if (key == "trace_seed") {
-      workload.trace_seed = to_u64(value, line);
-    } else {
-      fail(line, "unknown [workload] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
+/// The row a "section.key" sweep axis names. Sweepable are exactly the
+/// scalar rows of the cloud, workload, engine and churn sections.
+const KeyRow& sweep_row(const std::string& axis) {
+  const std::size_t dot = axis.find('.');
+  if (dot == std::string::npos) {
+    throw ScenarioError("sweep axis must be 'section.key', got '" + axis +
+                        "'");
   }
-}
-
-void apply_engine_key(ScenarioEngine& engine, const std::string& key,
-                      const std::string& value, int line) {
-  try {
-    if (key == "mode") {
-      engine.mode = parse_enum(kEngineNames, value, "engine mode");
-    } else if (key == "placer") {
-      engine.placer = parse_enum(kPlacerNames, value, "placer");
-    } else if (key == "allocator") {
-      engine.allocator = parse_enum(kAllocatorNames, value, "allocator");
-    } else if (key == "router") {
-      engine.router = parse_enum(kRouterNames, value, "router");
-    } else if (key == "seed") {
-      engine.seed = to_u64(value, line);
-    } else if (key == "fifo") {
-      engine.fifo = to_bool(value, line);
-    } else if (key == "gated_admission") {
-      engine.gated_admission = to_bool(value, line);
-    } else if (key == "gated_allocation") {
-      engine.gated_allocation = to_bool(value, line);
-    } else if (key == "workers") {
-      engine.workers = to_int(value, line);
-    } else if (key == "cache") {
-      engine.cache = to_bool(value, line);
-    } else if (key == "cache_capacity") {
-      engine.cache_capacity = to_int(value, line);
-    } else if (key == "max_pending") {
-      engine.max_pending = to_int(value, line);
-    } else if (key == "backpressure") {
-      engine.backpressure =
-          parse_enum(kBackpressureNames, value, "backpressure policy");
-    } else if (key == "intake_shards") {
-      engine.intake_shards = to_int(value, line);
-    } else {
-      fail(line, "unknown [engine] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
+  const std::optional<Section> section = find_section(axis.substr(0, dot));
+  if (!section || *section == Section::kTenant ||
+      *section == Section::kSweep) {
+    throw ScenarioError(
+        "sweep axis section must be cloud, workload, engine or churn");
   }
-}
-
-void apply_churn_key(ChurnSpec& churn, const std::string& key,
-                     const std::string& value, int line) {
-  try {
-    if (key == "policy") {
-      churn.policy = parse_enum(kChurnPolicyNames, value, "churn policy");
-    } else if (key == "window") {
-      // One maintenance window per line: qpu:start:end.
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos) {
-        fail(line, "expected window = qpu:start:end, got '" + value + "'");
-      }
-      MaintenanceWindow w;
-      w.qpu = to_int(trim(value.substr(0, c1)), line);
-      w.start = to_double(trim(value.substr(c1 + 1, c2 - c1 - 1)), line);
-      w.end = to_double(trim(value.substr(c2 + 1)), line);
-      churn.windows.push_back(w);
-    } else if (key == "random_windows") {
-      churn.random_windows = to_int(value, line);
-    } else if (key == "horizon") {
-      churn.horizon = to_double(value, line);
-    } else if (key == "mean_duration") {
-      churn.mean_duration = to_double(value, line);
-    } else if (key == "seed") {
-      churn.seed = to_u64(value, line);
-    } else if (key == "drift_amplitude") {
-      churn.drift_amplitude = to_double(value, line);
-    } else if (key == "drift_period") {
-      churn.drift_period = to_double(value, line);
-    } else {
-      fail(line, "unknown [churn] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
+  const std::string key = axis.substr(dot + 1);
+  const KeyRow* row = find_row(*section, key);
+  if (row == nullptr) {
+    throw ScenarioError("unknown [" + axis.substr(0, dot) + "] key '" + key +
+                        "'");
   }
-}
-
-void apply_tenant_key(TenantSpec& tenant, const std::string& key,
-                      const std::string& value, int line) {
-  if (key == "priority") {
-    tenant.priority = to_int(value, line);
-  } else if (key == "weight") {
-    tenant.weight = to_double(value, line);
-  } else if (key == "slo_jct") {
-    tenant.slo_jct = to_double(value, line);
-  } else if (key == "preempt") {
-    tenant.preempt = to_bool(value, line);
-  } else {
-    fail(line, "unknown [tenant." + tenant.name + "] key '" + key + "'");
+  if (row->codec.kind != KeyKind::kScalar) {
+    // These keys append; sweeping them would not assign one value per point.
+    throw ScenarioError("cannot sweep list-valued key '" + axis + "'");
   }
+  return *row;
 }
 
 /// "lo..hi" or "lo..hi..step" (integers, inclusive): appends the expanded
@@ -339,6 +495,13 @@ bool try_expand_range(const std::string& value, std::vector<std::string>& out,
       d2 == std::string::npos ? 1 : to_int(trim(value.substr(d2 + 2)), line);
   if (step < 1) fail(line, "sweep range step must be >= 1");
   if (hi < lo) fail(line, "sweep range needs lo <= hi, got '" + value + "'");
+  // Bound the count before materialising: 0..2000000000 would otherwise
+  // allocate two billion strings before the grid limit is checked.
+  const long long count = (static_cast<long long>(hi) - lo) / step + 1;
+  if (count > static_cast<long long>(kMaxSweepPoints)) {
+    fail(line, "sweep range '" + value + "' exceeds " +
+                   std::to_string(kMaxSweepPoints) + " points");
+  }
   for (long long v = lo; v <= hi; v += step) out.push_back(std::to_string(v));
   return true;
 }
@@ -348,18 +511,10 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   for (const SweepAxis& axis : sweep) {
     if (axis.key == key) fail(line, "duplicate [sweep] axis '" + key + "'");
   }
-  const std::size_t dot = key.find('.');
-  if (dot == std::string::npos) {
-    fail(line, "sweep axis must be 'section.key', got '" + key + "'");
-  }
-  const std::string section = key.substr(0, dot);
-  if (section != "cloud" && section != "workload" && section != "engine" &&
-      section != "churn") {
-    fail(line, "sweep axis section must be cloud, workload, engine or churn");
-  }
-  if (key == "workload.circuits" || key == "workload.qasm_files") {
-    // These keys append; sweeping them would not assign one value per point.
-    fail(line, "cannot sweep list-valued key '" + key + "'");
+  try {
+    sweep_row(key);
+  } catch (const ScenarioError& e) {
+    fail(line, e.what());
   }
   SweepAxis axis;
   axis.key = key;
@@ -376,31 +531,11 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   sweep.push_back(std::move(axis));
 }
 
-/// Assign one sweep value onto a spec copy. Axis keys are qualified
-/// "section.key" names resolved through the same appliers the parser uses,
-/// so exactly the INI-settable scalar keys are sweepable.
+/// Assign one sweep value onto a spec copy through the axis's key row.
 void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
                             const std::string& value) {
-  const std::size_t dot = key.find('.');
-  if (dot == std::string::npos) {
-    throw ScenarioError("sweep axis must be 'section.key', got '" + key +
-                        "'");
-  }
-  const std::string section = key.substr(0, dot);
-  const std::string field = key.substr(dot + 1);
   try {
-    if (section == "cloud") {
-      apply_cloud_key(spec.cloud, field, value, 0);
-    } else if (section == "workload") {
-      apply_workload_key(spec.workload, field, value, 0);
-    } else if (section == "engine") {
-      apply_engine_key(spec.engine, field, value, 0);
-    } else if (section == "churn") {
-      apply_churn_key(spec.churn, field, value, 0);
-    } else {
-      throw ScenarioError(
-          "sweep axis section must be cloud, workload, engine or churn");
-    }
+    apply_row(sweep_row(key), spec, value, 0);
   } catch (const ScenarioError& e) {
     throw ScenarioError("sweep axis '" + key + "' = '" + value +
                         "': " + e.what());
@@ -502,21 +637,9 @@ void validate(const ScenarioSpec& spec) {
   }
   for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
     const TenantSpec& t = spec.tenants[i];
-    if (t.name.empty()) {
-      throw ScenarioError("scenario '" + spec.name + "': empty tenant name");
-    }
-    for (char ch : t.name) {
-      if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-          ch != '-') {
-        throw ScenarioError("scenario '" + spec.name + "': tenant name '" +
-                            t.name + "' must be [A-Za-z0-9_-]+");
-      }
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.tenants[j].name == t.name) {
-        throw ScenarioError("scenario '" + spec.name +
-                            "': duplicate tenant '" + t.name + "'");
-      }
+    const std::string name_error = tenant_name_error(spec.tenants, i);
+    if (!name_error.empty()) {
+      throw ScenarioError("scenario '" + spec.name + "': " + name_error);
     }
     if (t.weight <= 0.0) {
       throw ScenarioError("scenario '" + spec.name + "': tenant '" + t.name +
@@ -542,9 +665,10 @@ void validate(const ScenarioSpec& spec) {
         }
       }
       grid *= axis.values.size();
-      if (grid > 1024) {
+      if (grid > kMaxSweepPoints) {
         throw ScenarioError("scenario '" + spec.name +
-                            "': sweep grid exceeds 1024 points");
+                            "': sweep grid exceeds " +
+                            std::to_string(kMaxSweepPoints) + " points");
       }
       // Test-apply every value now so a bad axis fails at parse time, not
       // halfway through a sweep run.
@@ -555,28 +679,6 @@ void validate(const ScenarioSpec& spec) {
       }
     }
   }
-}
-
-// --------------------------------------------------------- serialisation
-
-/// Shortest %g rendering that parses back to exactly `value` (keeps
-/// to_ini() human-readable without losing round-trip precision).
-std::string fmt_double(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::stod(buf) == value) break;
-  }
-  return buf;
-}
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += items[i];
-  }
-  return out;
 }
 
 // ----------------------------------------------------- engine execution
@@ -862,7 +964,8 @@ void run_network_sim(const ScenarioSpec& spec,
 ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
   ScenarioSpec spec;
   spec.name = name;
-  std::string section;
+  std::optional<Section> section;
+  std::string header;
   int line_no = 0;
   std::string line;
   std::istringstream in{std::string(text)};
@@ -875,29 +978,20 @@ ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
     if (content.empty()) continue;
     if (content.front() == '[') {
       if (content.back() != ']') fail(line_no, "unterminated section header");
-      section = trim(content.substr(1, content.size() - 2));
-      if (section.rfind("tenant.", 0) == 0) {
-        const std::string tenant_name = section.substr(7);
-        if (tenant_name.empty()) fail(line_no, "empty tenant name");
-        for (char ch : tenant_name) {
-          if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-              ch != '-') {
-            fail(line_no, "tenant name must be [A-Za-z0-9_-]+, got '" +
-                              tenant_name + "'");
-          }
-        }
-        for (const TenantSpec& t : spec.tenants) {
-          if (t.name == tenant_name) {
-            fail(line_no, "duplicate tenant '" + tenant_name + "'");
-          }
-        }
-        TenantSpec tenant;
-        tenant.name = tenant_name;
-        spec.tenants.push_back(std::move(tenant));
-      } else if (section != "cloud" && section != "workload" &&
-                 section != "engine" && section != "churn" &&
-                 section != "sweep") {
-        fail(line_no, "unknown section [" + section + "]");
+      header = trim(content.substr(1, content.size() - 2));
+      // Only a tenant header is dotted: [tenant.NAME] pushes the tenant
+      // that the section's keys fill.
+      const std::size_t dot = header.find('.');
+      section = find_section(header.substr(0, dot));
+      if (!section ||
+          (*section == Section::kTenant) != (dot != std::string::npos)) {
+        fail(line_no, "unknown section [" + header + "]");
+      }
+      if (*section == Section::kTenant) {
+        spec.tenants.push_back(TenantSpec{header.substr(dot + 1)});
+        const std::string error =
+            tenant_name_error(spec.tenants, spec.tenants.size() - 1);
+        if (!error.empty()) fail(line_no, error);
       }
       continue;
     }
@@ -908,23 +1002,16 @@ ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
     const std::string key = trim(content.substr(0, eq));
     const std::string value = trim(content.substr(eq + 1));
     if (key.empty()) fail(line_no, "empty key");
-    if (section.empty()) {
-      fail(line_no, "key '" + key + "' outside any section");
-    }
-    if (section == "cloud") {
-      apply_cloud_key(spec.cloud, key, value, line_no);
-    } else if (section == "workload") {
-      apply_workload_key(spec.workload, key, value, line_no);
-    } else if (section == "engine") {
-      apply_engine_key(spec.engine, key, value, line_no);
-    } else if (section == "churn") {
-      apply_churn_key(spec.churn, key, value, line_no);
-    } else if (section == "sweep") {
+    if (!section) fail(line_no, "key '" + key + "' outside any section");
+    if (*section == Section::kSweep) {
       apply_sweep_key(spec.sweep, key, value, line_no);
-    } else {
-      // [tenant.NAME]: the header pushed the TenantSpec this key fills.
-      apply_tenant_key(spec.tenants.back(), key, value, line_no);
+      continue;
     }
+    const KeyRow* row = find_row(*section, key);
+    if (row == nullptr) {
+      fail(line_no, "unknown [" + header + "] key '" + key + "'");
+    }
+    apply_row(*row, spec, value, line_no);
   }
   validate(spec);
   return spec;
@@ -954,88 +1041,34 @@ ScenarioSpec load_scenario_file(const std::string& path) {
 
 std::string to_ini(const ScenarioSpec& spec) {
   std::ostringstream out;
-  const CloudSpec& c = spec.cloud;
-  out << "[cloud]\n";
-  out << "topology = " << to_string(c.family) << "\n";
-  out << "num_qpus = " << c.num_qpus << "\n";
-  out << "rows = " << c.rows << "\n";
-  out << "cols = " << c.cols << "\n";
-  out << "bridge_width = " << c.bridge_width << "\n";
-  out << "fanout = " << c.fanout << "\n";
-  out << "topology_seed = " << c.topology_seed << "\n";
-  out << "capacity_profile = " << to_string(c.profile) << "\n";
-  out << "computing_qubits_per_qpu = " << c.config.computing_qubits_per_qpu
-      << "\n";
-  out << "comm_qubits_per_qpu = " << c.config.comm_qubits_per_qpu << "\n";
-  out << "link_probability = " << fmt_double(c.config.link_probability)
-      << "\n";
-  out << "epr_success_prob = " << fmt_double(c.config.epr_success_prob)
-      << "\n";
-  out << "purification_level = " << c.config.purification_level << "\n";
-
-  const ScenarioWorkload& w = spec.workload;
-  out << "\n[workload]\n";
-  out << "source = " << enum_name(kSourceNames, w.source) << "\n";
-  if (!w.circuits.empty()) out << "circuits = " << join(w.circuits) << "\n";
-  if (!w.qasm_files.empty()) {
-    out << "qasm_files = " << join(w.qasm_files) << "\n";
-  }
-  out << "trace = " << enum_name(kTraceNames, w.trace) << "\n";
-  out << "trace_jobs = " << w.trace_jobs << "\n";
-  out << "trace_mean_gap = " << fmt_double(w.trace_mean_gap) << "\n";
-  out << "trace_burst_size = " << w.trace_burst_size << "\n";
-  out << "trace_seed = " << w.trace_seed << "\n";
-
-  const ScenarioEngine& e = spec.engine;
-  out << "\n[engine]\n";
-  out << "mode = " << enum_name(kEngineNames, e.mode) << "\n";
-  out << "placer = " << enum_name(kPlacerNames, e.placer) << "\n";
-  out << "allocator = " << enum_name(kAllocatorNames, e.allocator) << "\n";
-  out << "router = " << enum_name(kRouterNames, e.router) << "\n";
-  out << "seed = " << e.seed << "\n";
-  out << "fifo = " << (e.fifo ? "true" : "false") << "\n";
-  out << "gated_admission = " << (e.gated_admission ? "true" : "false")
-      << "\n";
-  out << "gated_allocation = " << (e.gated_allocation ? "true" : "false")
-      << "\n";
-  out << "workers = " << e.workers << "\n";
-  out << "cache = " << (e.cache ? "true" : "false") << "\n";
-  out << "cache_capacity = " << e.cache_capacity << "\n";
-  out << "max_pending = " << e.max_pending << "\n";
-  out << "backpressure = " << enum_name(kBackpressureNames, e.backpressure)
-      << "\n";
-  out << "intake_shards = " << e.intake_shards << "\n";
-
-  // [churn] is emitted only when it changes anything: a disabled spec
-  // parses back to the identical default, keeping the round trip stable.
-  if (spec.churn.enabled()) {
-    const ChurnSpec& ch = spec.churn;
-    out << "\n[churn]\n";
-    out << "policy = " << enum_name(kChurnPolicyNames, ch.policy) << "\n";
-    for (const MaintenanceWindow& w : ch.windows) {
-      out << "window = " << w.qpu << ":" << fmt_double(w.start) << ":"
-          << fmt_double(w.end) << "\n";
+  auto emit = [&](Section section, const std::string& header,
+                  std::size_t tenant) {
+    if (out.tellp() > 0) out << "\n";
+    out << "[" << header << "]\n";
+    for (const KeyRow& row : key_table()) {
+      if (row.section != section) continue;
+      for (const std::string& value : row.codec.format(spec, tenant)) {
+        out << row.key << " = " << value << "\n";
+      }
     }
-    out << "random_windows = " << ch.random_windows << "\n";
-    out << "horizon = " << fmt_double(ch.horizon) << "\n";
-    out << "mean_duration = " << fmt_double(ch.mean_duration) << "\n";
-    out << "seed = " << ch.seed << "\n";
-    out << "drift_amplitude = " << fmt_double(ch.drift_amplitude) << "\n";
-    out << "drift_period = " << fmt_double(ch.drift_period) << "\n";
-  }
-  for (const TenantSpec& t : spec.tenants) {
-    out << "\n[tenant." << t.name << "]\n";
-    out << "priority = " << t.priority << "\n";
-    out << "weight = " << fmt_double(t.weight) << "\n";
-    out << "slo_jct = " << fmt_double(t.slo_jct) << "\n";
-    out << "preempt = " << (t.preempt ? "true" : "false") << "\n";
-  }
-  if (!spec.sweep.empty()) {
-    out << "\n[sweep]\n";
-    for (const SweepAxis& axis : spec.sweep) {
-      // Ranges were expanded at parse time, so values re-emit as the
-      // explicit list (round-trip-stable by construction).
-      out << axis.key << " = " << join(axis.values) << "\n";
+  };
+  for (const auto& [section, name] : kSectionNames) {
+    if (section == Section::kTenant) {
+      for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
+        emit(section, std::string(name) + "." + spec.tenants[t].name, t);
+      }
+    } else if (section == Section::kSweep) {
+      if (spec.sweep.empty()) continue;
+      emit(section, name, 0);
+      for (const SweepAxis& axis : spec.sweep) {
+        // Ranges were expanded at parse time, so values re-emit as the
+        // explicit list (round-trip-stable by construction).
+        out << axis.key << " = " << join(axis.values) << "\n";
+      }
+    } else if (section != Section::kChurn || spec.churn.enabled()) {
+      // [churn] is emitted only when it changes anything: a disabled spec
+      // parses back to the identical default, keeping the round trip stable.
+      emit(section, name, 0);
     }
   }
   return out.str();
@@ -1216,62 +1249,116 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   return result;
 }
 
+namespace {
+
+/// %.17g: every double the result writers emit reads back exactly.
+std::string fmt_exact(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+/// Conservative filename: the scenario name may come from user input.
+std::string safe_filename(std::string name) {
+  for (char& ch : name) {
+    if (!is_name_char(ch)) ch = '_';
+  }
+  return name;
+}
+
+std::size_t placed_jobs(const ScenarioResult& result) {
+  return static_cast<std::size_t>(
+      std::count_if(result.jobs.begin(), result.jobs.end(),
+                    [](const ScenarioJobResult& job) { return job.placed; }));
+}
+
+/// The aggregates both single-run writers record, in order, as (key, JSON
+/// value). Streaming runs have no per-job table; their deterministic
+/// record is the streaming block, absent for every other engine (as
+/// jain_fairness is on tenantless runs) so older goldens stay
+/// byte-identical.
+std::vector<std::pair<const char*, std::string>> aggregate_fields(
+    const ScenarioResult& r) {
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  std::vector<std::pair<const char*, std::string>> fields = {
+      {"engine", "\"" + r.engine + "\""},
+      {"num_jobs", n(r.jobs.size())},
+      {"placed_jobs", n(placed_jobs(r))},
+      {"makespan", fmt_exact(r.makespan)},
+      {"mean_jct", fmt_exact(r.mean_jct)},
+      {"mean_fidelity", fmt_exact(r.mean_fidelity)},
+      {"placement_calls", n(r.placement_calls)},
+      {"events_processed", n(r.events_processed)},
+      {"allocation_rounds", n(r.allocation_rounds)},
+      {"cache_exact_hits", n(r.cache_exact_hits)},
+      {"cache_warm_hits", n(r.cache_warm_hits)},
+      {"cache_misses", n(r.cache_misses)},
+  };
+  if (r.engine == "streaming") {
+    fields.insert(fields.end(),
+                  {{"stream_submitted", n(r.stream_submitted)},
+                   {"stream_completed", n(r.stream_completed)},
+                   {"stream_rejected", n(r.stream_rejected)},
+                   {"stream_peak_pending", n(r.stream_peak_pending)},
+                   {"stream_peak_in_flight", n(r.stream_peak_in_flight)},
+                   {"jct_p50", fmt_exact(r.jct_p50)},
+                   {"jct_p95", fmt_exact(r.jct_p95)},
+                   {"jct_p99", fmt_exact(r.jct_p99)},
+                   {"fidelity_p50", fmt_exact(r.fidelity_p50)},
+                   {"fidelity_p95", fmt_exact(r.fidelity_p95)},
+                   {"fidelity_p99", fmt_exact(r.fidelity_p99)}});
+  }
+  if (!r.tenants.empty()) {
+    fields.emplace_back("jain_fairness", fmt_exact(r.jain_fairness));
+  }
+  return fields;
+}
+
+/// Shared row format of the two sweep writers: axis assignment + headline
+/// deterministic aggregates of one grid point.
+void write_sweep_row(std::ofstream& os, const SweepPoint& point) {
+  const ScenarioResult& r = point.result;
+  os << "{\"assignment\": {";
+  for (std::size_t j = 0; j < point.assignment.size(); ++j) {
+    os << (j > 0 ? ", " : "") << "\"" << point.assignment[j].first
+       << "\": \"" << point.assignment[j].second << "\"";
+  }
+  os << "}, \"engine\": \"" << r.engine << "\""
+     << ", \"num_jobs\": " << r.jobs.size()
+     << ", \"placed_jobs\": " << placed_jobs(r)
+     << ", \"makespan\": " << fmt_exact(r.makespan)
+     << ", \"mean_jct\": " << fmt_exact(r.mean_jct)
+     << ", \"mean_fidelity\": " << fmt_exact(r.mean_fidelity)
+     << ", \"placement_calls\": " << r.placement_calls
+     << ", \"cache_exact_hits\": " << r.cache_exact_hits
+     << ", \"cache_warm_hits\": " << r.cache_warm_hits
+     << ", \"cache_misses\": " << r.cache_misses;
+  if (!r.tenants.empty()) {
+    os << ", \"jain_fairness\": " << fmt_exact(r.jain_fairness);
+  }
+  os << "}";
+}
+
+}  // namespace
+
 std::string write_bench_json(const ScenarioResult& result, std::string dir) {
   if (dir.empty()) dir = env_or("CLOUDQC_BENCH_JSON_DIR", ".");
-  // Conservative filename: the scenario name may come from user input.
-  std::string safe = result.scenario;
-  for (char& ch : safe) {
-    if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-        ch != '-') {
-      ch = '_';
-    }
-  }
+  const std::string safe = safe_filename(result.scenario);
   const std::string path = dir + "/BENCH_scenario_" + safe + ".json";
   std::ofstream os(path);
   if (!os) return "";
-  std::size_t placed = 0;
-  for (const auto& job : result.jobs) placed += job.placed ? 1 : 0;
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n  \"bench\": \"scenario_" << safe << "\"";
-  os << ",\n  \"engine\": \"" << result.engine << "\"";
-  os << ",\n  \"num_jobs\": " << result.jobs.size();
-  os << ",\n  \"placed_jobs\": " << placed;
-  os << ",\n  \"makespan\": " << num(result.makespan);
-  os << ",\n  \"mean_jct\": " << num(result.mean_jct);
-  os << ",\n  \"mean_fidelity\": " << num(result.mean_fidelity);
-  os << ",\n  \"placement_calls\": " << result.placement_calls;
-  os << ",\n  \"events_processed\": " << result.events_processed;
-  os << ",\n  \"allocation_rounds\": " << result.allocation_rounds;
-  os << ",\n  \"cache_exact_hits\": " << result.cache_exact_hits;
-  os << ",\n  \"cache_warm_hits\": " << result.cache_warm_hits;
-  os << ",\n  \"cache_misses\": " << result.cache_misses;
-  if (result.engine == "streaming") {
-    os << ",\n  \"stream_submitted\": " << result.stream_submitted;
-    os << ",\n  \"stream_completed\": " << result.stream_completed;
-    os << ",\n  \"stream_rejected\": " << result.stream_rejected;
-    os << ",\n  \"stream_peak_pending\": " << result.stream_peak_pending;
-    os << ",\n  \"stream_peak_in_flight\": " << result.stream_peak_in_flight;
-    os << ",\n  \"jct_p50\": " << num(result.jct_p50);
-    os << ",\n  \"jct_p95\": " << num(result.jct_p95);
-    os << ",\n  \"jct_p99\": " << num(result.jct_p99);
-    os << ",\n  \"fidelity_p50\": " << num(result.fidelity_p50);
-    os << ",\n  \"fidelity_p95\": " << num(result.fidelity_p95);
-    os << ",\n  \"fidelity_p99\": " << num(result.fidelity_p99);
+  for (const auto& [key, value] : aggregate_fields(result)) {
+    os << ",\n  \"" << key << "\": " << value;
   }
-  if (!result.tenants.empty()) {
-    os << ",\n  \"jain_fairness\": " << num(result.jain_fairness);
-    for (const ScenarioTenantResult& t : result.tenants) {
-      os << ",\n  \"tenant_" << t.name << "_jobs\": " << t.jobs;
-      os << ",\n  \"tenant_" << t.name << "_mean_jct\": " << num(t.mean_jct);
-      os << ",\n  \"tenant_" << t.name
-         << "_slo_attainment\": " << num(t.slo_attainment);
-    }
+  for (const ScenarioTenantResult& t : result.tenants) {
+    os << ",\n  \"tenant_" << t.name << "_jobs\": " << t.jobs;
+    os << ",\n  \"tenant_" << t.name
+       << "_mean_jct\": " << fmt_exact(t.mean_jct);
+    os << ",\n  \"tenant_" << t.name
+       << "_slo_attainment\": " << fmt_exact(t.slo_attainment);
   }
-  os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
+  os << ",\n  \"wall_seconds\": " << fmt_exact(result.wall_seconds);
   os << "\n}\n";
   return os ? path : "";
 }
@@ -1281,60 +1368,25 @@ std::string write_golden_json(const ScenarioResult& result,
   const std::string path = dir + "/" + result.scenario + ".golden.json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
-  std::size_t placed = 0;
-  for (const auto& job : result.jobs) placed += job.placed ? 1 : 0;
   os << "{\n";
   os << "  \"scenario\": \"" << result.scenario << "\",\n";
-  os << "  \"engine\": \"" << result.engine << "\",\n";
-  os << "  \"num_jobs\": " << result.jobs.size() << ",\n";
-  os << "  \"placed_jobs\": " << placed << ",\n";
-  os << "  \"makespan\": " << num(result.makespan) << ",\n";
-  os << "  \"mean_jct\": " << num(result.mean_jct) << ",\n";
-  os << "  \"mean_fidelity\": " << num(result.mean_fidelity) << ",\n";
-  os << "  \"placement_calls\": " << result.placement_calls << ",\n";
-  os << "  \"events_processed\": " << result.events_processed << ",\n";
-  os << "  \"allocation_rounds\": " << result.allocation_rounds << ",\n";
-  os << "  \"cache_exact_hits\": " << result.cache_exact_hits << ",\n";
-  os << "  \"cache_warm_hits\": " << result.cache_warm_hits << ",\n";
-  os << "  \"cache_misses\": " << result.cache_misses << ",\n";
-  // Streaming runs have no per-job table; their deterministic record is
-  // the aggregate block (absent for every other engine, so committed
-  // goldens predating the streaming engine stay byte-identical).
-  if (result.engine == "streaming") {
-    os << "  \"stream_submitted\": " << result.stream_submitted << ",\n";
-    os << "  \"stream_completed\": " << result.stream_completed << ",\n";
-    os << "  \"stream_rejected\": " << result.stream_rejected << ",\n";
-    os << "  \"stream_peak_pending\": " << result.stream_peak_pending
-       << ",\n";
-    os << "  \"stream_peak_in_flight\": " << result.stream_peak_in_flight
-       << ",\n";
-    os << "  \"jct_p50\": " << num(result.jct_p50) << ",\n";
-    os << "  \"jct_p95\": " << num(result.jct_p95) << ",\n";
-    os << "  \"jct_p99\": " << num(result.jct_p99) << ",\n";
-    os << "  \"fidelity_p50\": " << num(result.fidelity_p50) << ",\n";
-    os << "  \"fidelity_p95\": " << num(result.fidelity_p95) << ",\n";
-    os << "  \"fidelity_p99\": " << num(result.fidelity_p99) << ",\n";
+  for (const auto& [key, value] : aggregate_fields(result)) {
+    os << "  \"" << key << "\": " << value << ",\n";
   }
   // Tenant block and per-job tenant/restart fields appear only on tenant
   // runs, so goldens predating tenant classes stay byte-identical.
   if (!result.tenants.empty()) {
-    os << "  \"jain_fairness\": " << num(result.jain_fairness) << ",\n";
     os << "  \"tenants\": [";
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
       const ScenarioTenantResult& t = result.tenants[i];
       os << (i > 0 ? "," : "") << "\n    {\"name\": \"" << t.name << "\""
          << ", \"jobs\": " << t.jobs << ", \"completed\": " << t.completed
-         << ", \"slo_target\": " << num(t.slo_target)
-         << ", \"slo_attainment\": " << num(t.slo_attainment)
-         << ", \"mean_jct\": " << num(t.mean_jct)
-         << ", \"jct_p50\": " << num(t.jct_p50)
-         << ", \"jct_p95\": " << num(t.jct_p95)
-         << ", \"jct_p99\": " << num(t.jct_p99) << "}";
+         << ", \"slo_target\": " << fmt_exact(t.slo_target)
+         << ", \"slo_attainment\": " << fmt_exact(t.slo_attainment)
+         << ", \"mean_jct\": " << fmt_exact(t.mean_jct)
+         << ", \"jct_p50\": " << fmt_exact(t.jct_p50)
+         << ", \"jct_p95\": " << fmt_exact(t.jct_p95)
+         << ", \"jct_p99\": " << fmt_exact(t.jct_p99) << "}";
     }
     os << "\n  ],\n";
   }
@@ -1343,13 +1395,13 @@ std::string write_golden_json(const ScenarioResult& result,
     const ScenarioJobResult& job = result.jobs[i];
     os << (i > 0 ? "," : "") << "\n    {\"name\": \"" << job.name << "\""
        << ", \"placed\": " << (job.placed ? "true" : "false")
-       << ", \"arrival\": " << num(job.arrival)
-       << ", \"placed_time\": " << num(job.placed_time)
-       << ", \"completion_time\": " << num(job.completion_time)
+       << ", \"arrival\": " << fmt_exact(job.arrival)
+       << ", \"placed_time\": " << fmt_exact(job.placed_time)
+       << ", \"completion_time\": " << fmt_exact(job.completion_time)
        << ", \"remote_ops\": " << job.remote_ops
-       << ", \"comm_cost\": " << num(job.comm_cost)
+       << ", \"comm_cost\": " << fmt_exact(job.comm_cost)
        << ", \"qpus_used\": " << job.qpus_used
-       << ", \"est_fidelity\": " << num(job.est_fidelity);
+       << ", \"est_fidelity\": " << fmt_exact(job.est_fidelity);
     if (!result.tenants.empty()) {
       os << ", \"tenant\": " << job.tenant
          << ", \"restarts\": " << job.restarts;
@@ -1411,63 +1463,21 @@ SweepResult run_sweep(const ScenarioSpec& spec) {
   return result;
 }
 
-namespace {
-
-/// Shared row format of the two sweep writers: axis assignment + headline
-/// deterministic aggregates of one grid point.
-void write_sweep_row(std::ofstream& os, const SweepPoint& point,
-                     const std::function<std::string(double)>& num) {
-  const ScenarioResult& r = point.result;
-  std::size_t placed = 0;
-  for (const auto& job : r.jobs) placed += job.placed ? 1 : 0;
-  os << "{\"assignment\": {";
-  for (std::size_t j = 0; j < point.assignment.size(); ++j) {
-    os << (j > 0 ? ", " : "") << "\"" << point.assignment[j].first
-       << "\": \"" << point.assignment[j].second << "\"";
-  }
-  os << "}, \"engine\": \"" << r.engine << "\""
-     << ", \"num_jobs\": " << r.jobs.size() << ", \"placed_jobs\": " << placed
-     << ", \"makespan\": " << num(r.makespan)
-     << ", \"mean_jct\": " << num(r.mean_jct)
-     << ", \"mean_fidelity\": " << num(r.mean_fidelity)
-     << ", \"placement_calls\": " << r.placement_calls
-     << ", \"cache_exact_hits\": " << r.cache_exact_hits
-     << ", \"cache_warm_hits\": " << r.cache_warm_hits
-     << ", \"cache_misses\": " << r.cache_misses;
-  if (!r.tenants.empty()) {
-    os << ", \"jain_fairness\": " << num(r.jain_fairness);
-  }
-  os << "}";
-}
-
-}  // namespace
-
 std::string write_sweep_json(const SweepResult& result, std::string dir) {
   if (dir.empty()) dir = env_or("CLOUDQC_BENCH_JSON_DIR", ".");
-  std::string safe = result.name;
-  for (char& ch : safe) {
-    if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-        ch != '-') {
-      ch = '_';
-    }
-  }
+  const std::string safe = safe_filename(result.name);
   const std::string path = dir + "/BENCH_sweep_" + safe + ".json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n  \"bench\": \"sweep_" << safe << "\"";
   os << ",\n  \"points\": " << result.points.size();
   os << ",\n  \"rows\": [";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     os << (i > 0 ? "," : "") << "\n    ";
-    write_sweep_row(os, result.points[i], num);
+    write_sweep_row(os, result.points[i]);
   }
   os << "\n  ]";
-  os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
+  os << ",\n  \"wall_seconds\": " << fmt_exact(result.wall_seconds);
   os << "\n}\n";
   return os ? path : "";
 }
@@ -1477,18 +1487,13 @@ std::string write_sweep_golden_json(const SweepResult& result,
   const std::string path = dir + "/" + result.name + ".golden.json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n";
   os << "  \"sweep\": \"" << result.name << "\",\n";
   os << "  \"num_points\": " << result.points.size() << ",\n";
   os << "  \"points\": [";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     os << (i > 0 ? "," : "") << "\n    ";
-    write_sweep_row(os, result.points[i], num);
+    write_sweep_row(os, result.points[i]);
   }
   os << "\n  ]\n}\n";
   return os ? path : "";

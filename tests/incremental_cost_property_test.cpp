@@ -211,7 +211,7 @@ TEST(IncrementalCostProperty, ContextAndContextFreePlacementsAreIdentical) {
     const auto seed = make_random_placer()->place(c, *cloud, seed_rng);
     ASSERT_TRUE(seed.has_value());
     // One cold and one warm context, shared by every placer below the way
-    // race_place shares one context between raced strategies.
+    // a racing placer shares one context between its strategies.
     const PlacementContext cold = PlacementContext::for_circuit(c);
     const PlacementContext warm = [&] {
       PlacementContext ctx = PlacementContext::for_circuit(c);
@@ -274,21 +274,23 @@ TEST(IncrementalCostProperty, RacedPlacementsIdenticalAt1And2And8Workers) {
   }
 }
 
-TEST(IncrementalCostProperty, RacePlaceExecutorDeterministicAcrossWorkers) {
+TEST(IncrementalCostProperty, CustomRaceFieldDeterministicAcrossWorkers) {
   const QuantumCloud cloud = [] {
     CloudConfig cfg;
     Rng r(6);
     return QuantumCloud(cfg, r);
   }();
   const Circuit c = make_workload("cat_n65");
-  const auto sa = make_annealing_placer(2000);
-  const auto ga = make_genetic_placer(12, 10);
-  const auto cq = make_cloudqc_placer();
-  const std::vector<const Placer*> placers{sa.get(), ga.get(), cq.get()};
   std::optional<Placement> reference;
   for (const int workers : {1, 2, 8}) {
-    ParallelExecutor executor(workers);
-    const auto p = executor.race_place(c, cloud, placers, /*seed=*/4242);
+    std::vector<std::unique_ptr<Placer>> field;
+    field.push_back(make_annealing_placer(2000));
+    field.push_back(make_genetic_placer(12, 10));
+    field.push_back(make_cloudqc_placer());
+    ThreadPool pool(workers);
+    const auto racer = make_racing_placer(std::move(field), &pool);
+    Rng rng(4242);
+    const auto p = racer->place(c, cloud, rng);
     ASSERT_TRUE(p.has_value()) << workers << " workers";
     if (!reference.has_value()) {
       reference = p;

@@ -7,8 +7,11 @@
 // points at the repo's scenarios/ directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 
 #include "circuit/workloads.hpp"
@@ -532,6 +535,82 @@ TEST(ScenarioParserTest, RejectsInvalidChurnTenantSweep) {
                ScenarioError);
   EXPECT_THROW(parse_scenario(base + "[sweep]\nengine.seed = 1..2000\n"),
                ScenarioError);
+  // A huge range is refused before it is materialised.
+  EXPECT_THROW(
+      parse_scenario(base + "[sweep]\nengine.seed = 0..2000000000\n"),
+      ScenarioError);
+  // Non-finite numbers are refused at parse time; each would otherwise
+  // fail inside an engine or silently switch a feature off.
+  EXPECT_THROW(parse_scenario(base + "trace_mean_gap = inf\n"),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario(base + "trace_mean_gap = nan\n"),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario(base +
+                              "[churn]\ndrift_amplitude = 0.5\n"
+                              "drift_period = nan\n"),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario(base + "[churn]\ndrift_amplitude = nan\n"),
+               ScenarioError);
+}
+
+// Every committed spec round-trips through to_ini(), and every scalar key
+// to_ini() writes in the four sweepable sections also works as a [sweep]
+// axis that reproduces the base spec, so sweepability and serialisation
+// agree on one key set. The list-valued keys are the unsweepable rest.
+TEST(ScenarioParserTest, CommittedSpecsRoundTripAndEveryScalarKeySweeps) {
+  std::vector<std::string> files;
+  for (const char* dir : {"", "soak/"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scenario_path(dir))) {
+      if (entry.path().extension() == ".ini") {
+        files.push_back(entry.path().string());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 17u);
+  std::set<std::string> swept;
+  for (const std::string& file : files) {
+    SCOPED_TRACE(file);
+    ScenarioSpec base = load_scenario_file(file);
+    const std::string ini = to_ini(base);
+    EXPECT_EQ(to_ini(parse_scenario(ini, base.name)), ini);
+
+    base.sweep.clear();
+    const std::string base_ini = to_ini(base);
+    std::istringstream lines(base_ini);
+    std::string section, line;
+    while (std::getline(lines, line)) {
+      if (line.empty()) continue;
+      if (line.front() == '[') {
+        section = line.substr(1, line.size() - 2);
+        continue;
+      }
+      if (section != "cloud" && section != "workload" &&
+          section != "engine" && section != "churn") {
+        continue;
+      }
+      const std::size_t eq = line.find(" = ");
+      ASSERT_NE(eq, std::string::npos) << line;
+      const std::string key = line.substr(0, eq);
+      const std::string axis = section + "." + key;
+      SCOPED_TRACE(axis);
+      const std::string text = base_ini + "\n[sweep]\n" + axis + " = " +
+                               line.substr(eq + 3) + "\n";
+      if (key == "circuits" || key == "qasm_files" || key == "window") {
+        EXPECT_THROW(parse_scenario(text, base.name), ScenarioError);
+        continue;
+      }
+      const std::vector<SweepPointSpec> points =
+          expand_sweep(parse_scenario(text, base.name));
+      ASSERT_EQ(points.size(), 1u);
+      EXPECT_EQ(to_ini(points[0].spec), base_ini);
+      swept.insert(axis);
+    }
+  }
+  // The corpus covers every scalar key: 13 cloud, 6 workload, 14 engine
+  // and 7 churn.
+  EXPECT_EQ(swept.size(), 40u);
 }
 
 // Per-tenant aggregates recomputed from the per-job table by an
