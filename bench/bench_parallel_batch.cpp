@@ -103,13 +103,13 @@ int main() {
   bench::print_table(table);
 
   // JCT summary over the (deterministically merged) reference results.
-  StatAccumulator jct;
+  std::vector<double> jct;
   for (const auto& r : reference) {
-    if (r.placed) jct.add(r.completion_time);
+    if (r.placed) jct.push_back(r.completion_time);
   }
-  if (jct.count() > 0) {
+  if (!jct.empty()) {
     std::printf("\nJCT over %zu placed jobs: mean %.1f, min %.1f, max %.1f\n",
-                jct.count(), jct.mean(), jct.minimum(), jct.maximum());
+                jct.size(), mean(jct), minimum(jct), maximum(jct));
   }
 
   std::printf(

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> mix = {"qugan_n71", "knn_n67", "ising_n66",
                                         "qft_n29", "multiplier_n45"};
-  const auto trace = poisson_trace(mix, num_jobs, mean_gap, rng);
+  const auto trace =
+      drain(*make_poisson_source(mix, num_jobs, mean_gap, seed));
   std::printf(
       "Poisson arrivals: %d jobs, mean gap %.0f time units, %d-QPU cloud\n\n",
       num_jobs, mean_gap, cloud.num_qpus());

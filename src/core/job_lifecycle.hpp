@@ -12,9 +12,9 @@
 //   run_streaming — a pulled JobSource, bounded pending set with defer or
 //                   reject backpressure, intake shards, checkpoints, and
 //                   the drop policy for unplaceable jobs;
-//   run_incoming  — a trace source, unbounded pending set, one shard,
-//                   tenant classes, churn, a per-job table, and the throw
-//                   policy;
+//   run_incoming  — a vector source over the caller's trace, unbounded
+//                   pending set, one shard, tenant classes, churn, a
+//                   per-job table, and the throw policy;
 //   run_batch     — run_incoming with every job arriving at t = 0 in
 //                   batch-manager order.
 //
@@ -49,8 +49,8 @@ namespace cloudqc {
 class PlacementCache;
 struct ChurnPlan;
 
-/// Knobs every queue engine shares (MultiTenantOptions, IncomingOptions
-/// and StreamingOptions derive from this).
+/// Knobs every queue engine shares (IncomingOptions, and through it
+/// MultiTenantOptions, and StreamingOptions derive from this).
 struct EngineOptions {
   /// Engine RNG seed (placement draws and EPR outcomes derive from it).
   std::uint64_t seed = 1;
@@ -80,26 +80,6 @@ struct JobClass {
   /// May evict strictly-lower-priority in-flight jobs when placement
   /// fails (restart semantics: the victim re-runs from scratch).
   bool preempt = false;
-};
-
-/// Knobs the batch and incoming engines share on top of EngineOptions.
-struct TenantEngineOptions : EngineOptions {
-  /// Optional per-job tenant classes, indexed like the engine's jobs.
-  /// Empty keeps the classless engine bit-identical; non-empty must match
-  /// the job count. A job enters the queue before every strictly
-  /// lower-priority entry (stable within a priority level, so uniform
-  /// classes reproduce the classless order exactly), and preempt-enabled
-  /// jobs may evict strictly-lower-priority in-flight work when placement
-  /// fails.
-  std::vector<JobClass> classes;
-  /// Optional maintenance/churn timeline (not owned; see cloud/churn.hpp).
-  /// Null — or a plan with no events and zero drift — keeps the
-  /// static-cloud trajectory. Offline edges displace every in-flight job
-  /// holding qubits on the departing QPU (policy kRequeue re-queues it at
-  /// its key, kMigrate attempts an immediate re-placement first) and fence
-  /// the QPU's computing and communication capacity until the matching
-  /// online edge, or until the run ends.
-  const ChurnPlan* churn = nullptr;
 };
 
 /// Per-job outcome of one batch or incoming run. Times are simulation time

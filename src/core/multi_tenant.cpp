@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "core/incoming.hpp"
 
 namespace cloudqc {
 
@@ -29,14 +28,13 @@ std::vector<JobStats> run_batch(const std::vector<Circuit>& jobs,
   // so a job's trace index is its rank and displaced jobs re-enter there.
   std::vector<ArrivingJob> trace;
   trace.reserve(jobs.size());
-  IncomingOptions incoming;
-  static_cast<TenantEngineOptions&>(incoming) = options;
+  IncomingOptions incoming = options;
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     trace.push_back({jobs[order[rank]], 0.0});
     if (!classes.empty()) incoming.classes[rank] = classes[order[rank]];
   }
   std::vector<JobStats> ranked =
-      run_incoming(trace, cloud, placer, allocator, incoming);
+      run_incoming(std::move(trace), cloud, placer, allocator, incoming);
 
   std::vector<JobStats> stats(jobs.size());
   for (std::size_t rank = 0; rank < order.size(); ++rank) {

@@ -14,15 +14,15 @@
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
 #include "core/batch_manager.hpp"
-#include "core/job_lifecycle.hpp"
+#include "core/incoming.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
 
 namespace cloudqc {
 
-/// Knobs of run_batch (the shared ones live in TenantEngineOptions;
-/// classes are indexed like `jobs`).
-struct MultiTenantOptions : TenantEngineOptions {
+/// Knobs of run_batch: the incoming engine's, plus the batch order
+/// (classes are indexed like `jobs`).
+struct MultiTenantOptions : IncomingOptions {
   /// Importance-metric weights used for batch ordering.
   BatchWeights weights{};
   /// Use submission order instead of the importance metric

@@ -94,7 +94,9 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
+/// Line 0 marks a programmatic spec (validate()), which has no line to name.
 [[noreturn]] void fail(int line, const std::string& message) {
+  if (line == 0) throw ScenarioError(message);
   throw ScenarioError("line " + std::to_string(line) + ": " + message);
 }
 
@@ -506,6 +508,17 @@ bool try_expand_range(const std::string& value, std::vector<std::string>& out,
   return true;
 }
 
+/// Assign one sweep value onto `spec` through the axis's key row; a bad
+/// value fails at `line`, the [sweep] line it came from (0 for none).
+void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
+                            const std::string& value, int line = 0) {
+  try {
+    apply_row(sweep_row(key), spec, value, 0);
+  } catch (const ScenarioError& e) {
+    fail(line, "sweep axis '" + key + "' = '" + value + "': " + e.what());
+  }
+}
+
 void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
                      const std::string& value, int line) {
   for (const SweepAxis& axis : sweep) {
@@ -528,18 +541,13 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   if (axis.values.empty()) {
     fail(line, "sweep axis '" + key + "' has no values");
   }
-  sweep.push_back(std::move(axis));
-}
-
-/// Assign one sweep value onto a spec copy through the axis's key row.
-void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
-                            const std::string& value) {
-  try {
-    apply_row(sweep_row(key), spec, value, 0);
-  } catch (const ScenarioError& e) {
-    throw ScenarioError("sweep axis '" + key + "' = '" + value +
-                        "': " + e.what());
+  // Scalar rows parse independently of the rest of the spec, so a default
+  // probe finds every bad value here, at its own line.
+  ScenarioSpec probe;
+  for (const std::string& v : axis.values) {
+    apply_sweep_assignment(probe, key, v, line);
   }
+  sweep.push_back(std::move(axis));
 }
 
 /// Spec-level consistency checks shared by parse_scenario (fail early with
@@ -670,8 +678,9 @@ void validate(const ScenarioSpec& spec) {
                             "': sweep grid exceeds " +
                             std::to_string(kMaxSweepPoints) + " points");
       }
-      // Test-apply every value now so a bad axis fails at parse time, not
-      // halfway through a sweep run.
+      // Test-apply every value now so a bad axis of a programmatic spec
+      // fails before the run, not halfway through it (parsed specs already
+      // did this at the axis's line).
       for (const std::string& value : axis.values) {
         ScenarioSpec probe = spec;
         probe.sweep.clear();
@@ -763,9 +772,11 @@ const std::vector<std::string>& trace_mix(const ScenarioWorkload& w) {
   return w.circuits.empty() ? mixed_workload_names() : w.circuits;
 }
 
-/// Materialise the workload as an arrival trace. Non-trace sources arrive
-/// all at t = 0 in list order (so every engine accepts every source).
-std::vector<ArrivingJob> build_trace(const ScenarioWorkload& w) {
+/// The workload as a job source: a kTrace workload is a generator source
+/// that never holds more than one job; list sources arrive all at t = 0 in
+/// list order (so every engine accepts every source). The per-job engines
+/// drain it.
+std::unique_ptr<JobSource> build_source(const ScenarioWorkload& w) {
   switch (w.source) {
     case WorkloadSource::kGenerator: {
       std::vector<ArrivingJob> jobs;
@@ -773,7 +784,7 @@ std::vector<ArrivingJob> build_trace(const ScenarioWorkload& w) {
       for (const auto& name : w.circuits) {
         jobs.push_back({make_workload(name), 0.0});
       }
-      return jobs;
+      return make_vector_source(std::move(jobs));
     }
     case WorkloadSource::kQasm: {
       std::vector<ArrivingJob> jobs;
@@ -781,35 +792,17 @@ std::vector<ArrivingJob> build_trace(const ScenarioWorkload& w) {
       for (const auto& path : w.qasm_files) {
         jobs.push_back({parse_qasm_file(path), 0.0});
       }
-      return jobs;
+      return make_vector_source(std::move(jobs));
     }
-    case WorkloadSource::kTrace: {
-      Rng rng(w.trace_seed);
+    case WorkloadSource::kTrace:
       if (w.trace == TraceShape::kPoisson) {
-        return poisson_trace(trace_mix(w), w.trace_jobs, w.trace_mean_gap,
-                             rng);
+        return make_poisson_source(trace_mix(w), w.trace_jobs,
+                                   w.trace_mean_gap, w.trace_seed);
       }
-      return burst_trace(trace_mix(w), w.trace_jobs, w.trace_burst_size,
-                         w.trace_mean_gap, rng);
-    }
+      return make_burst_source(trace_mix(w), w.trace_jobs, w.trace_burst_size,
+                               w.trace_mean_gap, w.trace_seed);
   }
   throw ScenarioError("unknown workload source");
-}
-
-/// Streaming twin of build_trace(): a kTrace workload becomes a generator
-/// source with the *same* RNG draw sequence as the materialised trace —
-/// without ever holding more than one job — and list sources stream the
-/// t = 0 vector build_trace() would produce.
-std::unique_ptr<JobSource> build_source(const ScenarioWorkload& w) {
-  if (w.source == WorkloadSource::kTrace) {
-    if (w.trace == TraceShape::kPoisson) {
-      return make_poisson_source(trace_mix(w), w.trace_jobs, w.trace_mean_gap,
-                                 w.trace_seed);
-    }
-    return make_burst_source(trace_mix(w), w.trace_jobs, w.trace_burst_size,
-                             w.trace_mean_gap, w.trace_seed);
-  }
-  return make_vector_source(build_trace(w));
 }
 
 std::vector<Circuit> strip_arrivals(std::vector<ArrivingJob> trace) {
@@ -931,6 +924,8 @@ void run_network_sim(const ScenarioSpec& spec,
   Rng rng(eng.seed);
   NetworkSimulator sim(cloud, allocator, rng.fork(), router.get());
   sim.set_change_gated(eng.gated_allocation);
+  // The oversize rule of every engine, before any placement draws.
+  for (const Circuit& job : jobs) check_fits_cloud(job, cloud);
   std::map<int, std::size_t> sim_to_job;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ScenarioJobResult& job = result.jobs[i];
@@ -1130,7 +1125,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
-          strip_arrivals(build_trace(spec.workload));
+          strip_arrivals(drain(*build_source(spec.workload)));
       const auto stats = executor->run_independent(
           jobs, cloud, counting, *allocator, spec.engine.seed);
       result.jobs.resize(stats.size());
@@ -1148,34 +1143,30 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     case EngineMode::kMultiTenant:
     case EngineMode::kIncoming: {
-      std::vector<ArrivingJob> trace = build_trace(spec.workload);
+      std::vector<ArrivingJob> trace = drain(*build_source(spec.workload));
       std::vector<int> tenant_of;
       if (!spec.tenants.empty()) {
         tenant_of = assign_tenants(spec.tenants, trace.size(),
                                    spec.workload.trace_seed);
       }
-      auto configure = [&](TenantEngineOptions& options) {
-        options.seed = spec.engine.seed;
-        options.gated_admission = spec.engine.gated_admission;
-        options.gated_allocation = spec.engine.gated_allocation;
-        options.cache = cache.get();
-        options.churn = churn_on ? &churn_plan : nullptr;
-        if (!tenant_of.empty()) {
-          options.classes = classes_for(spec.tenants, tenant_of);
-        }
-      };
-      std::vector<JobStats> stats;
-      if (spec.engine.mode == EngineMode::kMultiTenant) {
-        MultiTenantOptions options;
-        configure(options);
-        options.fifo = spec.engine.fifo;
-        stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
-                          *allocator, options);
-      } else {
-        IncomingOptions options;
-        configure(options);
-        stats = run_incoming(trace, cloud, counting, *allocator, options);
+      // The batch engine's options are the incoming engine's plus the
+      // batch order, which run_incoming does not read.
+      MultiTenantOptions options;
+      options.seed = spec.engine.seed;
+      options.gated_admission = spec.engine.gated_admission;
+      options.gated_allocation = spec.engine.gated_allocation;
+      options.cache = cache.get();
+      options.churn = churn_on ? &churn_plan : nullptr;
+      if (!tenant_of.empty()) {
+        options.classes = classes_for(spec.tenants, tenant_of);
       }
+      options.fifo = spec.engine.fifo;
+      const std::vector<JobStats> stats =
+          spec.engine.mode == EngineMode::kMultiTenant
+              ? run_batch(strip_arrivals(std::move(trace)), cloud, counting,
+                          *allocator, options)
+              : run_incoming(std::move(trace), cloud, counting, *allocator,
+                             options);
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
         ScenarioJobResult& job = result.jobs[i];
@@ -1193,7 +1184,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     case EngineMode::kNetworkSim: {
       const std::vector<Circuit> jobs =
-          strip_arrivals(build_trace(spec.workload));
+          strip_arrivals(drain(*build_source(spec.workload)));
       result.jobs.resize(jobs.size());
       run_network_sim(spec, jobs, cloud, counting, *allocator, cache.get(),
                       result);

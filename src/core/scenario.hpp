@@ -187,9 +187,12 @@ std::string to_ini(const ScenarioSpec& spec);
 /// arrival is 0 except in incoming mode.
 struct ScenarioJobResult {
   std::string name;
-  /// False when no feasible mapping was found (batch engine: job skipped;
-  /// network-sim engine: job not admitted). Such jobs are excluded from
-  /// the aggregate metrics below.
+  /// False when a job that fits the cloud's total capacity found no
+  /// feasible mapping (batch engine: none on its private idle cloud copy;
+  /// network-sim engine: none in the capacity the jobs placed before it
+  /// left free). Such jobs are excluded from the aggregate metrics below.
+  /// A job larger than the total capacity throws std::logic_error in every
+  /// engine instead.
   bool placed = true;
   double arrival = 0.0;
   double placed_time = 0.0;

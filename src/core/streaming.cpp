@@ -25,10 +25,9 @@ class VectorSource final : public JobSource {
   std::size_t next_ = 0;
 };
 
-/// Generator-backed source: drives the *same* RNG draw sequence as
-/// burst_trace() (gap draw at each burst start, then circuit pick, per job)
-/// with a per-name template cache, so each arrival costs one Circuit copy
-/// instead of a generator run. A Poisson stream is bursts of one.
+/// The one Poisson/burst generator: a gap draw at each burst start, then a
+/// circuit pick, per job, with a per-name template cache so each arrival
+/// costs one Circuit copy instead of a generator run.
 class BurstSource final : public JobSource {
  public:
   BurstSource(std::vector<std::string> names, int num_jobs, int burst_size,
@@ -72,6 +71,14 @@ class BurstSource final : public JobSource {
 
 std::unique_ptr<JobSource> make_vector_source(std::vector<ArrivingJob> jobs) {
   return std::make_unique<VectorSource>(std::move(jobs));
+}
+
+std::vector<ArrivingJob> drain(JobSource& source) {
+  std::vector<ArrivingJob> jobs;
+  while (std::optional<ArrivingJob> job = source.next()) {
+    jobs.push_back(std::move(*job));
+  }
+  return jobs;
 }
 
 std::unique_ptr<JobSource> make_poisson_source(std::vector<std::string> names,

@@ -3,9 +3,10 @@
 // admission discipline and the shared NetworkSimulator with O(1) memory
 // residual per completed job.
 //
-// Every other engine ingests a full job vector and retains per-job state
-// until the run ends — memory grows O(jobs), so a jobs=1e6 workload is out
-// of reach. run_streaming() replaces both ends of that lifecycle:
+// run_incoming and run_batch take a drained source (a job vector) and
+// return a per-job table, so their memory grows O(jobs) and a jobs=1e6
+// workload is out of reach. run_streaming() replaces both ends of that
+// lifecycle:
 //
 //   intake   — jobs are *pulled* from a JobSource one at a time (never
 //              materialised as a vector) into sharded intake queues; the
@@ -55,15 +56,24 @@ namespace cloudqc {
 /// Stream over a pre-built trace (tests, QASM lists, parity harnesses).
 std::unique_ptr<JobSource> make_vector_source(std::vector<ArrivingJob> jobs);
 
-/// Streaming twin of poisson_trace(): identical RNG draws per job (gap,
-/// then circuit pick), so the emitted stream equals the materialised trace
-/// element-for-element — without ever holding more than one job.
+/// Pull `source` until it is exhausted and return its jobs in order: the
+/// materialised trace that run_incoming takes. Every vector form of a
+/// workload is a drained source, so a generator exists only as a source.
+std::vector<ArrivingJob> drain(JobSource& source);
+
+/// Poisson arrivals: exponential inter-arrival gaps with the given mean,
+/// circuits drawn uniformly from `names`. Per job the source draws the gap,
+/// then the circuit, from Rng(seed), so (names, num_jobs, mean_gap, seed)
+/// fixes the stream.
 std::unique_ptr<JobSource> make_poisson_source(std::vector<std::string> names,
                                                int num_jobs, double mean_gap,
                                                std::uint64_t seed);
 
-/// Streaming twin of burst_trace(): groups of `burst_size` simultaneous
-/// arrivals separated by exponential gaps.
+/// Bursty arrivals: `num_jobs` jobs in groups of `burst_size` simultaneous
+/// arrivals, groups separated by exponential gaps with the given mean (the
+/// last group may be partial). Models batch submissions / flash crowds — a
+/// heavier instantaneous load than a Poisson stream at the same mean rate
+/// per group. A Poisson source is bursts of one.
 std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
                                              int num_jobs, int burst_size,
                                              double mean_gap,

@@ -1,6 +1,5 @@
 #include "placement/placement_cache.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <list>
 #include <mutex>
@@ -31,12 +30,6 @@ std::uint64_t edge_hash(NodeId u, NodeId v, double weight,
 
 constexpr std::uint64_t kSaltHi = 0xC2B2AE3D27D4EB4Full;
 constexpr std::uint64_t kSaltLo = 0x165667B19E3779F9ull;
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -82,9 +75,9 @@ std::uint64_t capacity_signature_hash(
   return h;
 }
 
-// ----------------------------------------------------------------- shards
+// -------------------------------------------------------------------- LRU
 
-struct PlacementCache::Shard {
+struct PlacementCache::Lru {
   struct Entry {
     CircuitFingerprint fingerprint;
     std::uint64_t cap_hash = 0;
@@ -97,7 +90,7 @@ struct PlacementCache::Shard {
 
   mutable std::mutex mutex;
   /// Front = most recently used.
-  std::list<Entry> lru;
+  std::list<Entry> entries;
   /// fingerprint.hi is already well-mixed; use it as the map hash.
   struct FpHash {
     std::size_t operator()(const CircuitFingerprint& fp) const {
@@ -106,48 +99,32 @@ struct PlacementCache::Shard {
   };
   std::unordered_map<CircuitFingerprint, std::list<Entry>::iterator, FpHash>
       index;
-
-  // Stats are per-shard plain counters folded under the shard lock, then
-  // summed by stats(); no cross-shard synchronisation needed.
   PlacementCacheStats stats;
 };
 
 PlacementCache::PlacementCache(CacheOptions options)
-    : options_(options) {
+    : options_(options), lru_(std::make_unique<Lru>()) {
   CLOUDQC_CHECK_MSG(options_.capacity >= 1, "cache capacity must be >= 1");
-  std::size_t shards = round_up_pow2(std::max<std::size_t>(1, options_.shards));
-  // Never spread fewer entries than shards: a shard with capacity 0 could
-  // cache nothing.
-  while (shards > 1 && options_.capacity / shards == 0) shards >>= 1;
-  shard_mask_ = shards - 1;
-  per_shard_capacity_ = std::max<std::size_t>(1, options_.capacity / shards);
-  shards_ = std::make_unique<Shard[]>(shards);
 }
 
 PlacementCache::~PlacementCache() = default;
 
-PlacementCache::Shard& PlacementCache::shard_for(
-    const CircuitFingerprint& fingerprint) const {
-  // .lo keeps shard choice independent of the map hash (.hi).
-  return shards_[static_cast<std::size_t>(fingerprint.lo) & shard_mask_];
-}
-
 PlacementCache::Lookup PlacementCache::lookup(
     const CircuitFingerprint& fingerprint, std::uint64_t cap_hash,
     const QuantumCloud& cloud) {
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.lookups;
+  Lru& lru = *lru_;
+  std::lock_guard<std::mutex> lock(lru.mutex);
+  ++lru.stats.lookups;
 
   Lookup result;
-  const auto it = shard.index.find(fingerprint);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
+  const auto it = lru.index.find(fingerprint);
+  if (it == lru.index.end()) {
+    ++lru.stats.misses;
     return result;
   }
   // Touch: move to the LRU front.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  const Shard::Entry& entry = shard.lru.front();
+  lru.entries.splice(lru.entries.begin(), lru.entries, it->second);
+  const Lru::Entry& entry = lru.entries.front();
 
   if (entry.cap_hash == cap_hash) {
     // Verify-on-hit: the signature says the free-computing state matches,
@@ -163,15 +140,15 @@ PlacementCache::Lookup PlacementCache::lookup(
       }
     }
     if (fits) {
-      ++shard.stats.exact_hits;
+      ++lru.stats.exact_hits;
       result.outcome = Outcome::kExact;
       result.placement = entry.placement;
       result.seed = entry.mapping;
       return result;
     }
-    ++shard.stats.verify_rejects;
+    ++lru.stats.verify_rejects;
   }
-  ++shard.stats.warm_hits;
+  ++lru.stats.warm_hits;
   result.outcome = Outcome::kWarm;
   result.seed = entry.mapping;
   return result;
@@ -180,14 +157,14 @@ PlacementCache::Lookup PlacementCache::lookup(
 void PlacementCache::insert(const CircuitFingerprint& fingerprint,
                             std::uint64_t cap_hash,
                             const Placement& placement) {
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.insertions;
+  Lru& lru = *lru_;
+  std::lock_guard<std::mutex> lock(lru.mutex);
+  ++lru.stats.insertions;
 
-  const auto it = shard.index.find(fingerprint);
-  if (it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    Shard::Entry& entry = shard.lru.front();
+  const auto it = lru.index.find(fingerprint);
+  if (it != lru.index.end()) {
+    lru.entries.splice(lru.entries.begin(), lru.entries, it->second);
+    Lru::Entry& entry = lru.entries.front();
     entry.cap_hash = cap_hash;
     entry.mapping = std::make_shared<const std::vector<QpuId>>(
         placement.qubit_to_qpu);
@@ -195,45 +172,30 @@ void PlacementCache::insert(const CircuitFingerprint& fingerprint,
     return;
   }
 
-  Shard::Entry entry;
+  Lru::Entry entry;
   entry.fingerprint = fingerprint;
   entry.cap_hash = cap_hash;
   entry.mapping =
       std::make_shared<const std::vector<QpuId>>(placement.qubit_to_qpu);
   entry.placement = placement;
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(fingerprint, shard.lru.begin());
+  lru.entries.push_front(std::move(entry));
+  lru.index.emplace(fingerprint, lru.entries.begin());
 
-  while (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().fingerprint);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
+  while (lru.entries.size() > options_.capacity) {
+    lru.index.erase(lru.entries.back().fingerprint);
+    lru.entries.pop_back();
+    ++lru.stats.evictions;
   }
 }
 
 std::size_t PlacementCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    total += shards_[s].lru.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(lru_->mutex);
+  return lru_->entries.size();
 }
 
 PlacementCacheStats PlacementCache::stats() const {
-  PlacementCacheStats total;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    const PlacementCacheStats& st = shards_[s].stats;
-    total.lookups += st.lookups;
-    total.exact_hits += st.exact_hits;
-    total.warm_hits += st.warm_hits;
-    total.misses += st.misses;
-    total.verify_rejects += st.verify_rejects;
-    total.insertions += st.insertions;
-    total.evictions += st.evictions;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(lru_->mutex);
+  return lru_->stats;
 }
 
 // ----------------------------------------------------------- cached_place

@@ -36,9 +36,10 @@
 // metric, so entries must never be shared across clouds with different
 // topologies. Engines own one cache per run.
 //
-// Thread safety: shards with independent mutexes (flat compact key
-// structs, PaperWasp/QSim idiom) so a racing placer's workers may consult
-// the cache concurrently; statistics are atomics.
+// Thread safety: one mutex guards the LRU and its counters. cached_place
+// runs once per admission attempt from the serial admission loop, outside
+// any placer race, so the lock is never contended in the engines; it only
+// keeps a cache shared by hand across threads memory-safe.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +60,8 @@ class CsrAdjacency;  // placement/incremental_cost.hpp
 /// PlacementCache*; scenario specs carry these and the engine
 /// builds the cache per run).
 struct CacheOptions {
-  /// Bound on cached fingerprints across all shards (LRU-evicted).
+  /// Bound on cached fingerprints (least recently used evicted first).
   std::size_t capacity = 4096;
-  /// Shard count (rounded up to a power of two, at least 1). Each shard
-  /// holds capacity / shards entries and has its own lock.
-  std::size_t shards = 8;
 };
 
 /// Canonical circuit identity: a 128-bit order-independent hash of the
@@ -117,7 +115,7 @@ struct PlacementCacheStats {
   }
 };
 
-/// Bounded, sharded, LRU placement cache. One entry per fingerprint (the
+/// Bounded LRU placement cache. One entry per fingerprint (the
 /// most recently computed placement for that circuit); the entry's
 /// capacity-signature hash decides exact vs near hit.
 class PlacementCache {
@@ -151,7 +149,7 @@ class PlacementCache {
   void insert(const CircuitFingerprint& fingerprint, std::uint64_t cap_hash,
               const Placement& placement);
 
-  /// Entries currently cached (sums shards).
+  /// Entries currently cached.
   std::size_t size() const;
 
   const CacheOptions& options() const { return options_; }
@@ -161,13 +159,10 @@ class PlacementCache {
   ~PlacementCache();
 
  private:
-  struct Shard;
-  Shard& shard_for(const CircuitFingerprint& fingerprint) const;
+  struct Lru;
 
   CacheOptions options_;
-  std::size_t shard_mask_ = 0;
-  std::size_t per_shard_capacity_ = 1;
-  std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Lru> lru_;
 };
 
 /// The engines' one-stop admission helper: fingerprint the request, consult

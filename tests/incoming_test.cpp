@@ -6,6 +6,7 @@
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
 #include "core/incoming.hpp"
+#include "core/streaming.hpp"
 #include "graph/topology.hpp"
 #include "test_doubles.hpp"
 
@@ -72,9 +73,8 @@ TEST(Incoming, ResourcesRestoredAfterTrace) {
   const int before = cloud.total_free_computing();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  Rng rng(5);
   const auto trace =
-      poisson_trace({"ising_n34", "ghz_n127"}, 6, 500.0, rng);
+      drain(*make_poisson_source({"ising_n34", "ghz_n127"}, 6, 500.0, 5));
   run_incoming(trace, cloud, *placer, *alloc);
   EXPECT_EQ(cloud.total_free_computing(), before);
 }
@@ -101,8 +101,8 @@ TEST(Incoming, OversizedJobRejected) {
 }
 
 TEST(PoissonTrace, SortedWithRequestedLength) {
-  Rng rng(9);
-  const auto trace = poisson_trace({"ising_n34"}, 20, 100.0, rng);
+  const auto trace =
+      drain(*make_poisson_source({"ising_n34"}, 20, 100.0, 9));
   ASSERT_EQ(trace.size(), 20u);
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GE(trace[i].arrival, trace[i - 1].arrival);
@@ -111,8 +111,8 @@ TEST(PoissonTrace, SortedWithRequestedLength) {
 }
 
 TEST(PoissonTrace, MeanGapRoughlyHonoured) {
-  Rng rng(13);
-  const auto trace = poisson_trace({"ising_n34"}, 400, 50.0, rng);
+  const auto trace =
+      drain(*make_poisson_source({"ising_n34"}, 400, 50.0, 13));
   const double mean_gap = trace.back().arrival / 400.0;
   EXPECT_NEAR(mean_gap, 50.0, 10.0);
 }
@@ -160,54 +160,6 @@ TEST(Incoming, AdmissionGateSuppressesRetriesWithoutRelease) {
     EXPECT_EQ(gated_stats[i].est_fidelity, ungated_stats[i].est_fidelity);
     EXPECT_GE(gated_stats[i].placed_time, gated_stats[i].arrival);
   }
-}
-
-TEST(Incoming, MetricsSinkMatchesPerJobStats) {
-  QuantumCloud cloud = paper_cloud();
-  const auto placer = make_cloudqc_placer();
-  const auto alloc = make_cloudqc_allocator();
-  Rng rng(5);
-  const auto trace = poisson_trace({"ising_n34", "ghz_n127"}, 8, 300.0, rng);
-  StreamingMetrics metrics;
-  IncomingOptions options;
-  options.seed = 13;
-  options.metrics = &metrics;
-  const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
-  ASSERT_EQ(stats.size(), trace.size());
-
-  // The sink must hold exactly the fold of the returned per-job table
-  // (sketch merges are order-independent, so per-job insert order is
-  // irrelevant).
-  StreamingMetrics expected;
-  expected.submitted = trace.size();
-  for (const auto& s : stats) {
-    expected.record_completion(s.jct(), s.est_fidelity, s.completion_time);
-  }
-  EXPECT_TRUE(metrics == expected);
-  EXPECT_EQ(metrics.completed, trace.size());
-}
-
-TEST(Incoming, AggregateOnlyModeReturnsNoTableSameMetrics) {
-  const auto placer = make_cloudqc_placer();
-  const auto alloc = make_cloudqc_allocator();
-  Rng rng(5);
-  const auto trace = poisson_trace({"ising_n34", "ghz_n127"}, 8, 300.0, rng);
-
-  QuantumCloud cloud_a = paper_cloud();
-  StreamingMetrics with_table;
-  IncomingOptions options;
-  options.seed = 13;
-  options.metrics = &with_table;
-  run_incoming(trace, cloud_a, *placer, *alloc, options);
-
-  QuantumCloud cloud_b = paper_cloud();
-  StreamingMetrics aggregate_only;
-  options.metrics = &aggregate_only;
-  options.per_job_stats = false;
-  const auto stats = run_incoming(trace, cloud_b, *placer, *alloc, options);
-
-  EXPECT_TRUE(stats.empty());  // the O(jobs) table was never built
-  EXPECT_TRUE(aggregate_only == with_table);  // same run, same fold
 }
 
 TEST(Incoming, AdmissionGateSkipsWakesThatCannotFit) {
@@ -349,9 +301,8 @@ TEST(Incoming, HigherLoadIncreasesMeanJct) {
   const auto alloc = make_cloudqc_allocator();
   auto mean_jct = [&](double gap) {
     QuantumCloud cloud = paper_cloud(11);
-    Rng rng(3);
-    const auto trace = poisson_trace(
-        {"qugan_n71", "knn_n67", "ising_n66"}, 10, gap, rng);
+    const auto trace = drain(*make_poisson_source(
+        {"qugan_n71", "knn_n67", "ising_n66"}, 10, gap, /*seed=*/3));
     const auto stats = run_incoming(trace, cloud, *placer, *alloc, 17);
     double total = 0.0;
     for (const auto& s : stats) total += s.jct();

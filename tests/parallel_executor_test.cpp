@@ -213,37 +213,5 @@ TEST(BatchManager, ParallelImportanceScoringMatchesSerial) {
   EXPECT_EQ(batch_order(jobs, {}, &pool), serial_order);
 }
 
-TEST(StatAccumulator, ConcurrentAddsCountEverySample) {
-  StatAccumulator acc;
-  ThreadPool pool(8);
-  pool.parallel_for(1000, [&](std::size_t i) {
-    acc.add(static_cast<double>(i % 10));
-  });
-  EXPECT_EQ(acc.count(), 1000u);
-  EXPECT_EQ(acc.minimum(), 0.0);
-  EXPECT_EQ(acc.maximum(), 9.0);
-  // Sum of small integers is exact in double regardless of order.
-  EXPECT_EQ(acc.sum(), 4500.0);
-  EXPECT_EQ(acc.mean(), 4.5);
-}
-
-TEST(StatAccumulator, MergeCombinesSamples) {
-  StatAccumulator a, b;
-  a.add_all({1.0, 2.0});
-  b.add_all({3.0});
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.sum(), 6.0);
-  EXPECT_EQ(b.count(), 1u);
-}
-
-TEST(StatAccumulator, SelfMergeIsANoOp) {
-  StatAccumulator a;
-  a.add_all({1.0, 2.0});
-  a.merge(a);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.sum(), 3.0);
-}
-
 }  // namespace
 }  // namespace cloudqc

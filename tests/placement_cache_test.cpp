@@ -201,7 +201,6 @@ TEST(PlacementCacheTest, WarmStartNeverWorseThanColdSameSeed) {
 TEST(PlacementCacheTest, LruEvictionBoundsSize) {
   CacheOptions options;
   options.capacity = 4;
-  options.shards = 1;  // single shard: strict global LRU order
   PlacementCache cache(options);
   const QuantumCloud cloud = paper_cloud();
   const auto placer = make_cloudqc_bfs_placer();

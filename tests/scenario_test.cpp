@@ -209,9 +209,23 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
   EXPECT_EQ(reparsed.engine.placer, PlacerKind::kAnnealing);
 }
 
+// Every engine applies the same oversize rule: a job larger than the
+// cloud's total capacity throws, network_sim included.
+TEST(ScenarioTest, OversizeJobThrowsInEveryEngine) {
+  for (const char* mode : {"batch", "multi_tenant", "incoming",
+                           "network_sim"}) {
+    const ScenarioSpec spec = parse_scenario(
+        std::string("[cloud]\ntopology = ring\nnum_qpus = 4\n"
+                    "[workload]\ncircuits = ising_n34, ghz_n127\n"
+                    "[engine]\nmode = ") +
+        mode + "\n");
+    EXPECT_THROW(run_scenario(spec), std::logic_error) << mode;
+  }
+}
+
 TEST(ScenarioTest, BurstTraceShape) {
-  Rng rng(5);
-  const auto trace = burst_trace({"ising_n34"}, 10, 4, 100.0, rng);
+  const auto trace =
+      drain(*make_burst_source({"ising_n34"}, 10, 4, 100.0, /*seed=*/5));
   ASSERT_EQ(trace.size(), 10u);
   // Groups of 4 share one arrival instant; groups strictly later.
   EXPECT_EQ(trace[0].arrival, trace[3].arrival);
@@ -533,6 +547,27 @@ TEST(ScenarioParserTest, RejectsInvalidChurnTenantSweep) {
       ScenarioError);
   EXPECT_THROW(parse_scenario(base + "[sweep]\nengine.mode = warp\n"),
                ScenarioError);
+  // A bad value is reported at its own [sweep] line.
+  try {
+    parse_scenario(base + "[sweep]\nengine.seed = 1, x\n");
+    FAIL() << "bad sweep value accepted";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_EQ(what.find("line 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine.seed"), std::string::npos) << what;
+  }
+  // A programmatic spec has no line to name.
+  ScenarioSpec programmatic = parse_scenario(base);
+  programmatic.sweep.push_back(SweepAxis{"engine.seed", {"x"}});
+  try {
+    run_scenario(programmatic);
+    FAIL() << "bad sweep value accepted";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("line"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine.seed"), std::string::npos) << what;
+  }
   EXPECT_THROW(parse_scenario(base + "[sweep]\nengine.seed = 1..2000\n"),
                ScenarioError);
   // A huge range is refused before it is materialised.

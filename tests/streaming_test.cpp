@@ -34,24 +34,24 @@ std::vector<ArrivingJob> ghz_trace(int jobs, double gap, int width = 30) {
 // With one intake shard and an effectively unbounded pending set, the
 // streaming engine IS run_incoming minus the O(jobs) state: same RNG
 // discipline, same FIFO + HoL admission, same simulator trajectory (the
-// recycled job slots never influence allocator decisions). run_incoming's
-// own aggregate sink (satellite of the same lifecycle work) provides the
-// reference fold, so the whole StreamingMetrics must compare equal.
+// recycled job slots never influence allocator decisions). Folding
+// run_incoming's per-job table gives the reference (sketch folds do not
+// depend on order), so the whole StreamingMetrics must compare equal.
 TEST(Streaming, VectorSourceMatchesRunIncoming) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  Rng trace_rng(7);
-  const auto trace =
-      poisson_trace({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, trace_rng);
+  const auto trace = drain(
+      *make_poisson_source({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, 7));
 
   QuantumCloud incoming_cloud = paper_cloud();
-  StreamingMetrics reference;
-  IncomingOptions incoming_options;
-  incoming_options.seed = 3;
-  incoming_options.metrics = &reference;
   const auto stats = run_incoming(trace, incoming_cloud, *placer, *alloc,
-                                  incoming_options);
+                                  /*seed=*/3);
   ASSERT_EQ(stats.size(), trace.size());
+  StreamingMetrics reference;
+  reference.submitted = trace.size();
+  for (const JobStats& s : stats) {
+    reference.record_completion(s.jct(), s.est_fidelity, s.completion_time);
+  }
 
   QuantumCloud streaming_cloud = paper_cloud();
   const auto source = make_vector_source(trace);
@@ -64,9 +64,9 @@ TEST(Streaming, VectorSourceMatchesRunIncoming) {
 
   EXPECT_EQ(metrics.completed, trace.size());
   EXPECT_EQ(metrics.rejected, 0u);
-  // run_incoming's sink does not observe queue depths; align the
-  // high-water marks so operator== compares everything else bit-exactly
-  // (counters, makespan, min/max and every sketch bucket).
+  // The per-job table holds no queue depths; align the high-water marks
+  // so operator== compares everything else bit-exactly (counters,
+  // makespan, min/max and every sketch bucket).
   reference.peak_pending = metrics.peak_pending;
   reference.peak_in_flight = metrics.peak_in_flight;
   EXPECT_TRUE(metrics == reference);
@@ -85,9 +85,8 @@ TEST(Streaming, PoissonSourceMatchesMaterialisedTrace) {
       run_streaming(*streamed, cloud_a, *placer, *alloc, options);
 
   QuantumCloud cloud_b = paper_cloud();
-  Rng trace_rng(17);
-  const auto materialised =
-      make_vector_source(poisson_trace(mix, 20, 150.0, trace_rng));
+  const auto materialised = make_vector_source(
+      drain(*make_poisson_source(mix, 20, 150.0, /*seed=*/17)));
   const StreamingMetrics from_vector =
       run_streaming(*materialised, cloud_b, *placer, *alloc, options);
 
@@ -109,9 +108,8 @@ TEST(Streaming, BurstSourceMatchesMaterialisedTrace) {
       run_streaming(*streamed, cloud_a, *placer, *alloc, options);
 
   QuantumCloud cloud_b = paper_cloud();
-  Rng trace_rng(29);
-  const auto materialised = make_vector_source(
-      burst_trace(mix, 18, /*burst_size=*/5, 400.0, trace_rng));
+  const auto materialised = make_vector_source(drain(
+      *make_burst_source(mix, 18, /*burst_size=*/5, 400.0, /*seed=*/29)));
   const StreamingMetrics from_vector =
       run_streaming(*materialised, cloud_b, *placer, *alloc, options);
 
