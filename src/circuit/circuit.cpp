@@ -20,19 +20,24 @@ void Circuit::add(Gate g) {
     CLOUDQC_CHECK_MSG(g.qubits[0] != g.qubits[1],
                       "2-qubit gate needs distinct qubits");
   }
-  gates_.push_back(g);
+  if (gates_ == nullptr) {
+    gates_ = std::make_shared<std::vector<Gate>>();
+  } else if (gates_.use_count() > 1) {
+    gates_ = std::make_shared<std::vector<Gate>>(*gates_);
+  }
+  gates_->push_back(g);
 }
 
 std::size_t Circuit::two_qubit_gate_count() const {
   return static_cast<std::size_t>(
-      std::count_if(gates_.begin(), gates_.end(),
+      std::count_if(gates().begin(), gates().end(),
                     [](const Gate& g) { return g.two_qubit(); }));
 }
 
 int Circuit::depth() const {
   std::vector<int> level(static_cast<std::size_t>(num_qubits_), 0);
   int max_level = 0;
-  for (const auto& g : gates_) {
+  for (const auto& g : gates()) {
     if (g.kind == GateKind::kBarrier) continue;
     const auto a = static_cast<std::size_t>(g.qubits[0]);
     int l = level[a];
@@ -49,7 +54,7 @@ int Circuit::depth() const {
 
 Graph Circuit::interaction_graph() const {
   Graph g(num_qubits_);
-  for (const auto& gate : gates_) {
+  for (const auto& gate : gates()) {
     if (gate.two_qubit()) {
       g.add_edge(gate.qubits[0], gate.qubits[1], 1.0);
     }

@@ -2,6 +2,7 @@
 // pipeline needs: interaction graph, depth, and gate statistics.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,14 @@ namespace cloudqc {
 /// A quantum circuit: a qubit count and an ordered gate list. Gate order is
 /// program order; the DAG (circuit/dag.hpp) recovers the true dependency
 /// structure.
+///
+/// Copies share one gate list, so copying a circuit costs O(1) however many
+/// gates it holds. add() on a circuit whose list another copy still holds
+/// first gives it a private copy (copy-on-write); the other copies never
+/// see the new gate. Copies may be made, read and destroyed on any number
+/// of threads at once, but add() must not run while a copy sharing its
+/// list is in use or being destroyed on another thread: finish building a
+/// circuit before handing copies of it to other threads.
 class Circuit {
  public:
   Circuit() = default;
@@ -22,8 +31,10 @@ class Circuit {
   void set_name(std::string name) { name_ = std::move(name); }
 
   QubitId num_qubits() const { return num_qubits_; }
-  const std::vector<Gate>& gates() const { return gates_; }
-  std::size_t num_gates() const { return gates_.size(); }
+  const std::vector<Gate>& gates() const {
+    return gates_ ? *gates_ : kNoGates;
+  }
+  std::size_t num_gates() const { return gates().size(); }
 
   /// Append a gate; qubit indices are validated against num_qubits().
   void add(Gate g);
@@ -65,7 +76,9 @@ class Circuit {
  private:
   std::string name_;
   QubitId num_qubits_ = 0;
-  std::vector<Gate> gates_;
+  /// Null until the first add(); shared by every copy made since.
+  std::shared_ptr<std::vector<Gate>> gates_;
+  inline static const std::vector<Gate> kNoGates{};
 };
 
 }  // namespace cloudqc

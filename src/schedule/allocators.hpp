@@ -54,11 +54,16 @@ class CommAllocator {
                                     Rng& rng) const = 0;
 };
 
+/// Priority order, used by CloudQC and Greedy: priority descending, ties by
+/// request index ascending (FIFO). Grants depend on this exact order, so
+/// any reimplementation must reproduce it, ties included.
+///
 /// CloudQC: every schedulable request first receives one pair in priority
 /// order (starvation freedom), then the remaining budget is handed out one
 /// pair at a time to the request with the highest priority-per-pair ratio
-/// (proportionally fair redundancy — critical gates get the most failure
-/// tolerance). `max_redundancy` caps pairs per op; the default is
+/// (priority + 1) / pairs, ties going to the request earlier in priority
+/// order (proportionally fair redundancy — critical gates get the most
+/// failure tolerance). `max_redundancy` caps pairs per op; the default is
 /// effectively uncapped.
 std::unique_ptr<CommAllocator> make_cloudqc_allocator(
     int max_redundancy = 1 << 20);

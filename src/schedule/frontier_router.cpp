@@ -1,6 +1,7 @@
 #include "schedule/frontier_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -29,20 +30,26 @@ void FrontierRouter::bind_topology_locked(const Graph& topo) const {
   topo_edges_ = topo.num_edges();
   csr_ = SortedCsr(topo);
   mask_ = NodeBitmap(topo_nodes_);
+  fresh_mask_ = NodeBitmap(topo_nodes_);
+  last_free_comm_.clear();
   frontier_bits_ = NodeBitmap(topo_nodes_);
   trees_.assign(static_cast<std::size_t>(topo_nodes_), Tree{});
   ++stats_.csr_rebuilds;
 }
 
-void FrontierRouter::refresh_mask_locked(const std::vector<int>& free_comm,
-                                         NodeId n) const {
-  NodeBitmap fresh(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (free_comm[static_cast<std::size_t>(v)] <= 0) fresh.set(v);
+void FrontierRouter::refresh_mask_locked(
+    const std::vector<int>& free_comm) const {
+  // Within one allocation round free_comm changes only when an op starts,
+  // so most calls repeat the previous call's vector: one compare, no scan.
+  if (free_comm == last_free_comm_) return;
+  last_free_comm_ = free_comm;
+  fresh_mask_.clear_all();
+  for (NodeId v = 0; v < topo_nodes_; ++v) {
+    if (free_comm[static_cast<std::size_t>(v)] <= 0) fresh_mask_.set(v);
   }
-  if (fresh != mask_) {
+  if (fresh_mask_ != mask_) {
     ++stats_.mask_changes;
-    mask_ = std::move(fresh);
+    std::swap(mask_, fresh_mask_);
   }
 }
 
@@ -133,7 +140,7 @@ std::optional<EprPath> FrontierRouter::route(
 
   std::lock_guard<std::mutex> lock(mu_);
   bind_topology_locked(topo);
-  refresh_mask_locked(free_comm, topo_nodes_);
+  refresh_mask_locked(free_comm);
   ++stats_.route_calls;
 
   Tree& t = trees_[static_cast<std::size_t>(src)];

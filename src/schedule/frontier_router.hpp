@@ -8,9 +8,10 @@
 //   * flat CSR adjacency snapshot (graph/csr.hpp's SortedCsr) with
 //     ascending neighbour ids, rebuilt only when the cloud topology
 //     changes;
-//   * a saturation bitmap recomputed from `free_comm` at every call, so
-//     route() stays a pure function of its arguments no matter what the
-//     cache holds;
+//   * a saturation bitmap recomputed from `free_comm` when it differs from
+//     the previous call's (one vector compare otherwise, no allocation
+//     either way), so route() stays a pure function of its arguments no
+//     matter what the cache holds;
 //   * top-down/bottom-up direction switching keyed on frontier density
 //     (dense levels scan unvisited nodes against a frontier bitmap
 //     instead of expanding frontier edge lists);
@@ -75,8 +76,7 @@ class FrontierRouter final : public EprRouter {
   };
 
   void bind_topology_locked(const Graph& topo) const;
-  void refresh_mask_locked(const std::vector<int>& free_comm,
-                           NodeId n) const;
+  void refresh_mask_locked(const std::vector<int>& free_comm) const;
   void sweep_locked(QpuId src) const;
 
   mutable std::mutex mu_;
@@ -88,6 +88,10 @@ class FrontierRouter final : public EprRouter {
   mutable std::size_t topo_edges_ = 0;
   mutable SortedCsr csr_;
   mutable NodeBitmap mask_;  // bit v set = saturated (free_comm[v] <= 0)
+  // The free_comm vector mask_ was computed from (empty after a rebind),
+  // and the buffer the next mask is built in.
+  mutable std::vector<int> last_free_comm_;
+  mutable NodeBitmap fresh_mask_;
   mutable std::vector<Tree> trees_;  // indexed by source QPU
   // Sweep scratch (guarded by mu_ like everything else).
   mutable std::vector<NodeId> frontier_;

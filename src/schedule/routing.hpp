@@ -36,6 +36,14 @@ struct EprPath {
 /// reporting. Implementations must be deterministic functions of their
 /// arguments (the change-gated event loop may consult them repeatedly on
 /// identical state and relies on identical answers).
+///
+/// Blocking is monotone: a router that returns nullopt under `free_comm` F
+/// must also return nullopt under every F' <= F (entry by entry) — fewer
+/// free qubits never open a path. The simulator relies on this to requeue
+/// an op the router blocked earlier in the same decision point without
+/// asking again (budgets only shrink within one). The four routers below
+/// satisfy it: the congestion-blind ones block only on a disconnected
+/// topology, and the masked ones only gain saturated nodes as F shrinks.
 class EprRouter {
  public:
   virtual ~EprRouter() = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "cloud/churn.hpp"
 #include "common/check.hpp"
@@ -89,9 +90,8 @@ void NetworkSimulator::cancel_job(int job_id) {
     return true;
   });
   waiting_remote_.erase(
-      std::remove_if(
-          waiting_remote_.begin(), waiting_remote_.end(),
-          [&](const std::pair<int, int>& w) { return w.first == job_id; }),
+      std::remove_if(waiting_remote_.begin(), waiting_remote_.end(),
+                     [&](const WaitingOp& w) { return w.job == job_id; }),
       waiting_remote_.end());
   jobs_[static_cast<std::size_t>(job_id)] = Job{};
   jobs_[static_cast<std::size_t>(job_id)].done = true;
@@ -181,9 +181,18 @@ double NetworkSimulator::gate_duration(const Job& job, int gate) const {
 }
 
 void NetworkSimulator::on_ready(int job_id, int gate) {
-  Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  if (job.remote_of_gate[static_cast<std::size_t>(gate)] >= 0) {
-    waiting_remote_.emplace_back(job_id, gate);
+  const Job& job = jobs_[static_cast<std::size_t>(job_id)];
+  const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
+  if (node >= 0) {
+    const RemoteOp& op = job.remote.op(node);
+    WaitingOp w;
+    w.job = job_id;
+    w.gate = gate;
+    w.node = node;
+    w.priority = job.remote_prio[static_cast<std::size_t>(node)];
+    w.qpu_a = op.qpu_a;
+    w.qpu_b = op.qpu_b;
+    waiting_remote_.push_back(w);
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
     start_local(job_id, gate);
@@ -214,6 +223,7 @@ void NetworkSimulator::maybe_allocate() {
 
 void NetworkSimulator::allocate_and_start() {
   alloc_dirty_ = false;
+  ++decision_point_;
   while (!waiting_remote_.empty()) {
     const std::size_t started = run_allocation_round();
     // Without a router the round is terminal: every grant was consumed in
@@ -229,16 +239,12 @@ std::size_t NetworkSimulator::run_allocation_round() {
   ++alloc_rounds_;
   std::vector<CommRequest> requests;
   requests.reserve(waiting_remote_.size());
-  for (const auto& [job_id, gate] : waiting_remote_) {
-    const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
-    const RemoteOp& op = job.remote.op(node);
+  for (const WaitingOp& w : waiting_remote_) {
     CommRequest req;
     req.handle = static_cast<int>(requests.size());
-    req.priority =
-        static_cast<double>(job.remote_prio[static_cast<std::size_t>(node)]);
-    req.qpu_a = op.qpu_a;
-    req.qpu_b = op.qpu_b;
+    req.priority = static_cast<double>(w.priority);
+    req.qpu_a = w.qpu_a;
+    req.qpu_b = w.qpu_b;
     requests.push_back(req);
   }
 
@@ -260,7 +266,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
                       "allocator exceeded communication budget");
   }
 
-  std::vector<std::pair<int, int>> still_waiting;
+  std::vector<WaitingOp> still_waiting;
   std::size_t started = 0;
   const LatencyModel& lat = cloud_.config().latency;
 #ifndef NDEBUG
@@ -274,47 +280,52 @@ std::size_t NetworkSimulator::run_allocation_round() {
   std::vector<int> started_spend(free_comm_.size(), 0);
 #endif
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [job_id, gate] = waiting_remote_[i];
-    if (pairs[i] == 0) {
-      still_waiting.emplace_back(job_id, gate);
+    WaitingOp& w = waiting_remote_[i];
+    // An op the router blocked earlier in this decision point is blocked
+    // still: free_comm_ has only shrunk since, and a blocked answer
+    // survives any shrink (the EprRouter contract).
+    if (pairs[i] == 0 || w.blocked_at == decision_point_) {
+      still_waiting.push_back(w);
       continue;
     }
+    const int job_id = w.job;
+    const int gate = w.gate;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
-    const RemoteOp& op = job.remote.op(node);
 
     // Decide the path (and hence hop count + the QPUs that hold qubits).
-    int hops = op.hops;
-    std::vector<QpuId> reserved_on{op.qpu_a, op.qpu_b};
+    int hops = 0;
     int x = pairs[i];
-    if (router_ != nullptr) {
-      const auto path = router_->route(cloud_, op.qpu_a, op.qpu_b, free_comm_);
+    std::vector<QpuId> reserved_on;
+    if (router_ == nullptr) {
+      hops = job.remote.op(w.node).hops;
+      reserved_on = {w.qpu_a, w.qpu_b};
+    } else {
+      auto path = router_->route(cloud_, w.qpu_a, w.qpu_b, free_comm_);
       if (!path.has_value() || !path->valid()) {
         // Every usable path is saturated. The routing contract says this
         // op cannot run right now — requeue it for the next decision
         // point instead of executing it over the stale static hop count
         // with endpoint-only reservation (which would bypass the very
         // intermediates the router reported as exhausted).
-        still_waiting.emplace_back(job_id, gate);
+        w.blocked_at = decision_point_;
+        still_waiting.push_back(w);
         continue;
       }
-      hops = path->hops();
-      // Entanglement swapping consumes qubits at every intermediate QPU;
-      // redundancy is capped by the tightest node on the path.
-      for (std::size_t j = 1; j + 1 < path->nodes.size(); ++j) {
-        reserved_on.push_back(path->nodes[j]);
-      }
-      // Earlier ops in this batch may have consumed path/endpoint qubits
-      // the allocator assumed free; cap by the tightest reserved node.
-      for (const QpuId q : reserved_on) {
+      // Entanglement swapping consumes qubits at every QPU on the path;
+      // earlier ops in this batch may have consumed path/endpoint qubits
+      // the allocator assumed free, so redundancy is capped by the
+      // tightest node on the path.
+      for (const QpuId q : path->nodes) {
         x = std::min(x, free_comm_[static_cast<std::size_t>(q)]);
       }
       if (x <= 0) {
         // A saturated swap node blocks this op for now; retry at the next
         // decision point (endpoint qubits were never deducted).
-        still_waiting.emplace_back(job_id, gate);
+        still_waiting.push_back(w);
         continue;
       }
+      hops = path->hops();
+      reserved_on = std::move(path->nodes);
     }
     for (const QpuId q : reserved_on) {
       free_comm_[static_cast<std::size_t>(q)] -= x;

@@ -17,6 +17,14 @@
 // kept behind set_change_gated(false) as the regression baseline
 // (bench_network_sim fails CI when gating stops paying for itself).
 //
+// With a router, one decision point may run several allocation rounds
+// (see allocate_and_start). Within a decision point free communication
+// qubits only shrink, so an op the router blocked in an earlier round is
+// still blocked (the monotone-blocking clause of the EprRouter contract):
+// it stays in the wait queue, and a later round that funds it again
+// requeues it without asking the router. The next decision point asks
+// afresh. Grants and trajectories are those of asking every time.
+//
 // The simulator supports dynamic job admission, which is how the shared
 // job lifecycle (core/job_lifecycle.hpp) runs concurrent tenants on one
 // network.
@@ -193,6 +201,21 @@ class NetworkSimulator {
     std::vector<QpuId> reserved_on;
   };
 
+  /// A remote op waiting for communication qubits. Its request fields are
+  /// copied in when it becomes ready, so building an allocation round
+  /// reads nothing else.
+  struct WaitingOp {
+    int job = -1;
+    int gate = -1;
+    int node = -1;  // remote-DAG node
+    int priority = 0;
+    QpuId qpu_a = kInvalidNode;
+    QpuId qpu_b = kInvalidNode;
+    /// Decision point in which the router last returned no path for it
+    /// (0 = never).
+    std::uint64_t blocked_at = 0;
+  };
+
   struct Job {
     const Circuit* circuit = nullptr;
     std::vector<QpuId> map;
@@ -245,8 +268,11 @@ class NetworkSimulator {
   std::vector<int> free_slots_;
   int jobs_admitted_ = 0;
   bool recycle_completed_ = false;
-  /// Waiting remote ops as (job, gate).
-  std::vector<std::pair<int, int>> waiting_remote_;
+  /// Waiting remote ops in the order they became ready.
+  std::vector<WaitingOp> waiting_remote_;
+  /// Count of allocate_and_start() calls, the stamp in
+  /// WaitingOp::blocked_at.
+  std::uint64_t decision_point_ = 0;
   /// Free communication qubits per QPU (simulator-owned view).
   std::vector<int> free_comm_;
   /// Communication qubits fenced off per offline QPU (maintenance).

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "schedule/allocators.hpp"
 
@@ -165,6 +168,137 @@ TEST_P(AllocatorProperty, BudgetAndProgress) {
 
 INSTANTIATE_TEST_SUITE_P(AllFour, AllocatorProperty,
                          ::testing::Values(0, 1, 2, 3));
+
+// Differential check of CloudQC and Greedy against their reference
+// implementations: a stable comparison sort for the priority order and a
+// full scan per leftover pair in CloudQC's redundancy pass. The library
+// replaces both (counting sort for small integer priorities, a heap for
+// the redundancy pass) and must hand out exactly the same grants.
+namespace reference {
+
+bool can_take(const CommRequest& r, const std::vector<int>& free_comm) {
+  return free_comm[static_cast<std::size_t>(r.qpu_a)] >= 1 &&
+         free_comm[static_cast<std::size_t>(r.qpu_b)] >= 1;
+}
+
+void take(const CommRequest& r, std::vector<int>& free_comm) {
+  --free_comm[static_cast<std::size_t>(r.qpu_a)];
+  --free_comm[static_cast<std::size_t>(r.qpu_b)];
+}
+
+std::vector<std::size_t> by_priority(const std::vector<CommRequest>& requests) {
+  std::vector<std::size_t> idx(requests.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return requests[a].priority > requests[b].priority;
+  });
+  return idx;
+}
+
+std::vector<int> cloudqc(const std::vector<CommRequest>& requests,
+                         std::vector<int> free_comm, int max_redundancy) {
+  std::vector<int> pairs(requests.size(), 0);
+  const auto order = by_priority(requests);
+  for (const std::size_t i : order) {
+    if (can_take(requests[i], free_comm)) {
+      take(requests[i], free_comm);
+      pairs[i] = 1;
+    }
+  }
+  while (true) {
+    double best_score = -1.0;
+    std::size_t best = requests.size();
+    for (const std::size_t i : order) {
+      if (pairs[i] == 0 || pairs[i] >= max_redundancy) continue;
+      if (!can_take(requests[i], free_comm)) continue;
+      const double score = (requests[i].priority + 1.0) / pairs[i];
+      if (score > best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == requests.size()) break;
+    take(requests[best], free_comm);
+    ++pairs[best];
+  }
+  return pairs;
+}
+
+std::vector<int> greedy(const std::vector<CommRequest>& requests,
+                        std::vector<int> free_comm) {
+  std::vector<int> pairs(requests.size(), 0);
+  for (const std::size_t i : by_priority(requests)) {
+    while (can_take(requests[i], free_comm)) {
+      take(requests[i], free_comm);
+      ++pairs[i];
+    }
+  }
+  return pairs;
+}
+
+/// A random priority from one of the families the differential covers:
+/// small integers (many ties), integers beyond the counting-sort bound,
+/// fractions, negatives (including (-2, -1], where the redundancy score
+/// grows with the pair count) and very large magnitudes.
+double priority(int family, std::size_t n, Rng& rng) {
+  switch (family) {
+    case 0:
+      return static_cast<double>(rng.below(4));
+    case 1:
+      return static_cast<double>(rng.below(static_cast<std::uint64_t>(n) + 40));
+    case 2:
+      return static_cast<double>(4 * n + 60 + rng.below(10));
+    case 3:
+      return rng.uniform(0.0, 8.0);
+    case 4:
+      return static_cast<double>(rng.range(-3, 3)) * 0.5;
+    default: {
+      const double big[] = {1e300, -1e300, 1e18, -1e18, 0.0, -0.0, 2.5};
+      return big[rng.below(7)];
+    }
+  }
+}
+
+}  // namespace reference
+
+TEST(AllocatorDifferential, CloudQcAndGreedyMatchReference) {
+  const std::unique_ptr<CommAllocator> cloudqc_uncapped =
+      make_cloudqc_allocator();
+  const std::unique_ptr<CommAllocator> cloudqc_cap1 = make_cloudqc_allocator(1);
+  const std::unique_ptr<CommAllocator> cloudqc_cap2 = make_cloudqc_allocator(2);
+  const std::unique_ptr<CommAllocator> greedy = make_greedy_allocator();
+  Rng rng(0xD1FF);
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int qpus = 2 + static_cast<int>(rng.below(9));
+    std::vector<int> budget(static_cast<std::size_t>(qpus));
+    const bool all_zero = trial % 20 == 0;
+    for (auto& b : budget) {
+      b = all_zero || rng.chance(0.2) ? 0 : static_cast<int>(rng.below(9));
+    }
+    const auto n = static_cast<std::size_t>(rng.below(60));
+    // Mostly one family per trial; every eighth trial mixes them.
+    const int family = static_cast<int>(rng.below(6));
+    const bool mixed = trial % 8 == 7;
+    std::vector<CommRequest> rs;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto a =
+          static_cast<QpuId>(rng.below(static_cast<std::uint64_t>(qpus)));
+      auto b = static_cast<QpuId>(rng.below(static_cast<std::uint64_t>(qpus)));
+      if (b == a) b = (b + 1) % qpus;
+      const int f = mixed ? static_cast<int>(rng.below(6)) : family;
+      rs.push_back(req(reference::priority(f, n, rng), a, b));
+    }
+    EXPECT_EQ(cloudqc_uncapped->allocate(rs, budget, rng),
+              reference::cloudqc(rs, budget, 1 << 20));
+    EXPECT_EQ(cloudqc_cap1->allocate(rs, budget, rng),
+              reference::cloudqc(rs, budget, 1));
+    EXPECT_EQ(cloudqc_cap2->allocate(rs, budget, rng),
+              reference::cloudqc(rs, budget, 2));
+    EXPECT_EQ(greedy->allocate(rs, budget, rng),
+              reference::greedy(rs, budget));
+  }
+}
 
 }  // namespace
 }  // namespace cloudqc

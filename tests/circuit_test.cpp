@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "circuit/circuit.hpp"
 
 namespace cloudqc {
@@ -108,6 +111,68 @@ TEST(Circuit, NameRoundTrip) {
   EXPECT_EQ(c.name(), "original");
   c.set_name("renamed");
   EXPECT_EQ(c.name(), "renamed");
+}
+
+TEST(Circuit, CopiesShareTheGateList) {
+  Circuit c("t", 3);
+  c.h(0);
+  c.cx(0, 1);
+  const Circuit copy = c;
+  EXPECT_EQ(&copy.gates(), &c.gates());  // one list, not two equal ones
+  EXPECT_EQ(copy.num_gates(), 2u);
+}
+
+TEST(Circuit, AddOnACopyLeavesTheOriginalUnchanged) {
+  Circuit original("t", 3);
+  original.h(0);
+  original.cx(0, 1);
+  Circuit copy = original;
+  copy.cx(1, 2);
+  EXPECT_NE(&copy.gates(), &original.gates());
+  ASSERT_EQ(original.num_gates(), 2u);
+  ASSERT_EQ(copy.num_gates(), 3u);
+  EXPECT_EQ(copy.gates()[2].kind, GateKind::kCx);
+  EXPECT_EQ(original.depth(), 2);
+  EXPECT_EQ(copy.depth(), 3);
+
+  // And the other way round: the original grows, the copy does not.
+  Circuit second = original;
+  original.measure(2);
+  EXPECT_EQ(original.num_gates(), 3u);
+  EXPECT_EQ(second.num_gates(), 2u);
+  EXPECT_EQ(second.interaction_graph().num_edges(), 1u);
+}
+
+TEST(Circuit, AddOnTheSoleOwnerKeepsItsList) {
+  Circuit c("t", 2);
+  c.h(0);
+  const std::vector<Gate>* before = &c.gates();
+  {
+    const Circuit copy = c;  // released before the next add()
+    (void)copy;
+  }
+  c.h(1);
+  EXPECT_EQ(&c.gates(), before);  // appended in place, no private copy
+  EXPECT_EQ(c.num_gates(), 2u);
+}
+
+TEST(Circuit, ConcurrentCopiesReadTheSameGates) {
+  // Workers copy and read one shared circuit at once (the parallel
+  // engines' pattern); the reference counts are the only shared writes.
+  Circuit c("t", 4);
+  for (int r = 0; r < 50; ++r) c.cx(r % 3, 3);
+  std::vector<std::size_t> seen(4, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < seen.size(); ++w) {
+    workers.emplace_back([&c, &seen, w] {
+      for (int i = 0; i < 200; ++i) {
+        const Circuit copy = c;
+        seen[w] += copy.two_qubit_gate_count();
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  for (const std::size_t s : seen) EXPECT_EQ(s, 200u * 50u);
 }
 
 }  // namespace

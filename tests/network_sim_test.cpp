@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "circuit/workloads.hpp"
 #include "graph/topology.hpp"
 #include "sim/network_sim.hpp"
@@ -240,6 +246,63 @@ TEST(NetworkSim, AllSchedulersCompleteAMediumWorkload) {
     ASSERT_EQ(done.size(), 1u) << alloc->name();
     EXPECT_GT(done[0].time, 0.0) << alloc->name();
   }
+}
+
+/// Forwards to a real router and counts the calls.
+class CountingRouter final : public EprRouter {
+ public:
+  explicit CountingRouter(std::unique_ptr<EprRouter> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  std::optional<EprPath> route(
+      const QuantumCloud& cloud, QpuId src, QpuId dst,
+      const std::vector<int>& free_comm) const override {
+    ++calls;
+    return inner_->route(cloud, src, dst, free_comm);
+  }
+  mutable int calls = 0;
+
+ private:
+  std::unique_ptr<EprRouter> inner_;
+};
+
+TEST(NetworkSim, BlockedOpIsRoutedOncePerDecisionPoint) {
+  // Line 0—1—2—3 plus the link 4—5, one comm qubit per QPU. Job A (QPUs
+  // 1, 2) saturates the line's interior. Job B then readies two ops at
+  // once: 0↔3, whose only path transits the saturated cut, and 4↔5. In
+  // that decision point round 1 funds both, the router blocks 0↔3 and
+  // 4↔5 starts; round 2 funds 0↔3 again, and since budgets only shrank
+  // within the decision point it is requeued without asking the router.
+  // Calls: A (1), round 1 (2), round 2 (0), then 0↔3 once A releases the
+  // cut (1).
+  Graph topo(6);
+  for (NodeId q = 0; q < 3; ++q) topo.add_edge(q, q + 1);
+  topo.add_edge(4, 5);
+  CloudConfig cfg;
+  cfg.num_qpus = 6;
+  cfg.computing_qubits_per_qpu = 100;
+  cfg.comm_qubits_per_qpu = 1;
+  cfg.epr_success_prob = 1.0;
+  const QuantumCloud cloud(cfg, std::move(topo));
+  const auto alloc = make_cloudqc_allocator();
+  const CountingRouter router(make_masked_shortest_router());
+
+  Circuit a("a", 2);
+  a.cx(0, 1);
+  Circuit b("b", 4);
+  b.cx(0, 1);
+  b.cx(2, 3);
+  NetworkSimulator sim(cloud, *alloc, Rng(1), &router);
+  sim.add_job(a, {1, 2});
+  EXPECT_EQ(router.calls, 1);
+  sim.add_job(b, {0, 3, 4, 5});
+  EXPECT_EQ(router.calls, 3);
+  EXPECT_EQ(sim.num_allocation_rounds(), 3u);
+  const auto done = sim.run_to_completion();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(router.calls, 4);
+  EXPECT_DOUBLE_EQ(done[0].time, 16.1);  // A
+  EXPECT_DOUBLE_EQ(done[1].time, 32.2);  // B waits for A's cut
 }
 
 }  // namespace

@@ -304,5 +304,74 @@ TEST(MaskedRoutingProperty, RandomTopologiesRandomBatches) {
   }
 }
 
+TEST(RouterContractProperty, BlockedStaysBlockedWhenBudgetsShrink) {
+  // The EprRouter contract's monotonicity clause, which the simulator's
+  // skip of already-blocked ops within a decision point relies on: a
+  // router that finds no path under free_comm F finds none under any
+  // F' <= F (entry by entry). Random topologies, some of them
+  // disconnected (the only way the congestion-blind routers block), and
+  // random budgets; each blocked answer is re-asked after zeroing or
+  // lowering more entries, on the same router instance so the frontier
+  // router's cache is exercised too. Even iterations isolate the last QPU
+  // and ask for it first, so every router is seen blocking.
+  const auto frontier = make_frontier_router();
+  const auto masked = make_masked_shortest_router();
+  const auto shortest = make_shortest_path_router();
+  const auto congestion = make_congestion_aware_router();
+  const std::vector<const EprRouter*> routers{
+      frontier.get(), masked.get(), shortest.get(), congestion.get()};
+  std::vector<int> blocked_checks(routers.size(), 0);
+  for (int iter = 0; iter < property::iters(); ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    Rng rng(stream_seed(0x5A7B10C, static_cast<std::uint64_t>(iter)));
+    const auto n = static_cast<NodeId>(5 + rng.below(12));
+    const NodeId linked = iter % 2 == 0 ? n - 1 : n;
+    Graph topo(n);
+    const double edge_prob = 0.1 + rng.uniform() * 0.35;
+    for (NodeId u = 0; u < linked; ++u) {
+      for (NodeId v = u + 1; v < linked; ++v) {
+        if (rng.uniform() < edge_prob) topo.add_edge(u, v, 1.0);
+      }
+    }
+    CloudConfig cfg;
+    cfg.num_qpus = static_cast<int>(n);
+    cfg.computing_qubits_per_qpu = 50;
+    cfg.comm_qubits_per_qpu = 3;
+    const QuantumCloud cloud(cfg, std::move(topo));
+
+    for (int query = 0; query < 12; ++query) {
+      auto src = static_cast<QpuId>(rng.below(static_cast<std::uint64_t>(n)));
+      auto dst =
+          static_cast<QpuId>(rng.below(static_cast<std::uint64_t>(n - 1)));
+      if (dst >= src) ++dst;
+      if (query == 0 && linked < n) {
+        src = 0;
+        dst = n - 1;
+      }
+      std::vector<int> free_comm(static_cast<std::size_t>(n));
+      for (auto& f : free_comm) f = static_cast<int>(rng.below(4));  // 0..3
+      for (std::size_t r = 0; r < routers.size(); ++r) {
+        const EprRouter& router = *routers[r];
+        SCOPED_TRACE(router.name());
+        if (router.route(cloud, src, dst, free_comm).has_value()) continue;
+        std::vector<int> shrunk = free_comm;
+        for (int step = 0; step < 4; ++step) {
+          for (auto& f : shrunk) {
+            if (f > 0 && rng.below(3) == 0) {
+              f = static_cast<int>(rng.below(static_cast<std::uint64_t>(f)));
+            }
+          }
+          EXPECT_FALSE(router.route(cloud, src, dst, shrunk).has_value())
+              << "a blocked op found a path after budgets shrank";
+          ++blocked_checks[r];
+        }
+      }
+    }
+  }
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    EXPECT_GT(blocked_checks[r], 0) << routers[r]->name() << " never blocked";
+  }
+}
+
 }  // namespace
 }  // namespace cloudqc
