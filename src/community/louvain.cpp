@@ -23,33 +23,66 @@ int densify(std::vector<int>& community) {
   return next;
 }
 
+/// modularity() with each node's weighted degree supplied.
+double modularity_with(const WeightedCsr& g, const std::vector<int>& community,
+                       const std::vector<double>& degree) {
+  CLOUDQC_CHECK(community.size() == static_cast<std::size_t>(g.num_nodes()));
+  const double m = g.total_edge_weight();
+  if (m == 0.0) return 0.0;
+  int k = 0;
+  for (int c : community) k = std::max(k, c + 1);
+  std::vector<double> in(static_cast<std::size_t>(k), 0.0);
+  std::vector<double> tot(static_cast<std::size_t>(k), 0.0);
+  // Each undirected edge once (to >= u), in Graph::edges() order.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const int cu = community[static_cast<std::size_t>(u)];
+    for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+      const NodeId v = g.to(i);
+      if (v < u || community[static_cast<std::size_t>(v)] != cu) continue;
+      in[static_cast<std::size_t>(cu)] +=
+          (v == u) ? g.weight(i) : 2.0 * g.weight(i);
+    }
+  }
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    tot[static_cast<std::size_t>(community[static_cast<std::size_t>(u)])] +=
+        degree[static_cast<std::size_t>(u)];
+  }
+  double q = 0.0;
+  for (int c = 0; c < k; ++c) {
+    const double tc = tot[static_cast<std::size_t>(c)];
+    q += in[static_cast<std::size_t>(c)] / (2.0 * m) -
+         (tc / (2.0 * m)) * (tc / (2.0 * m));
+  }
+  return q;
+}
+
 /// One Louvain level: local moving on `g`. Returns (community labels, gain).
-std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
-                                               double min_gain) {
+std::pair<std::vector<int>, double> local_move(const WeightedCsr& g,
+                                               Rng& rng) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const double two_m = 2.0 * g.total_edge_weight();
   std::vector<int> comm(n);
   std::iota(comm.begin(), comm.end(), 0);
   if (two_m == 0.0) return {comm, 0.0};
 
-  // tot[c]: sum of weighted degrees in community c.
-  std::vector<double> tot(n);
-  std::vector<double> self_loop(n, 0.0);
+  // degree[u]: weighted degree, fixed for the level; tot[c]: sum of
+  // weighted degrees in community c.
+  std::vector<double> degree(n);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    tot[static_cast<std::size_t>(u)] = g.weighted_degree(u);
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to == u) self_loop[static_cast<std::size_t>(u)] = e.weight;
-    }
+    degree[static_cast<std::size_t>(u)] = g.weighted_degree(u);
   }
+  std::vector<double> tot = degree;
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
 
-  const double q_before = modularity(g, comm);
+  const double q_before = modularity_with(g, comm, degree);
   // Weight from the visited node to each neighboring community, as
-  // (community, weight) in first-seen order; one buffer for every visit.
+  // (community, weight) in first-seen order, and slot[c] = index + 1 of
+  // community c in it (0 = absent); one buffer for every visit.
   std::vector<std::pair<int, double>> neigh;
+  std::vector<std::size_t> slot(n, 0);
   bool improved = true;
   int guard = 0;
   while (improved && guard++ < 100) {
@@ -57,28 +90,29 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
     for (const NodeId u : order) {
       const auto su = static_cast<std::size_t>(u);
       const int old_c = comm[su];
-      const double ku = g.weighted_degree(u);
+      const double ku = degree[su];
 
+      for (const auto& entry : neigh) {
+        slot[static_cast<std::size_t>(entry.first)] = 0;
+      }
       neigh.clear();
       auto weight_to = [&](int c) -> double& {
-        for (auto& [cc, w] : neigh) {
-          if (cc == c) return w;
+        std::size_t& s = slot[static_cast<std::size_t>(c)];
+        if (s == 0) {
+          neigh.emplace_back(c, 0.0);
+          s = neigh.size();
         }
-        neigh.emplace_back(c, 0.0);
-        return neigh.back().second;
+        return neigh[s - 1].second;
       };
-      weight_to(old_c);  // ensure present
-      for (const auto& e : g.neighbors(u)) {
-        if (e.to == u) continue;
-        weight_to(comm[static_cast<std::size_t>(e.to)]) += e.weight;
+      weight_to(old_c);  // listed first
+      for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+        if (g.to(i) == u) continue;
+        weight_to(comm[static_cast<std::size_t>(g.to(i))]) += g.weight(i);
       }
 
       // Remove u from its community.
       tot[static_cast<std::size_t>(old_c)] -= ku;
-      double w_old = 0.0;
-      for (const auto& [c, w] : neigh) {
-        if (c == old_c) w_old = w;
-      }
+      const double w_old = neigh.front().second;
 
       // ΔQ of joining community c: k_{u,c}/m − k_u·tot_c/(2m²)  (constant
       // terms cancel when comparing against staying put).
@@ -103,67 +137,54 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
       }
     }
   }
-  (void)min_gain;  // convergence is decided by the caller from the gain
-  const double q_after = modularity(g, comm);
+  const double q_after = modularity_with(g, comm, degree);
   return {std::move(comm), q_after - q_before};
 }
 
 /// Aggregate: one node per community, edges summed (intra-community weight
-/// becomes a self-loop).
-Graph aggregate(const Graph& g, const std::vector<int>& comm, int k) {
-  Graph agg(static_cast<NodeId>(k));
-  for (NodeId c = 0; c < agg.num_nodes(); ++c) agg.set_node_weight(c, 0.0);
+/// becomes a self-loop), built straight into CSR from the edges in
+/// Graph::edges() order.
+WeightedCsr aggregate(const WeightedCsr& g, const std::vector<int>& comm,
+                      int k) {
+  std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(u)]);
-    agg.set_node_weight(cu, agg.node_weight(cu) + g.node_weight(u));
+    weight[static_cast<std::size_t>(comm[static_cast<std::size_t>(u)])] +=
+        g.node_weight(u);
   }
-  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  std::vector<Graph::FlatEdge> edges;
+  edges.reserve(g.num_entries() / 2 + 1);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(u)]);
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to < u) continue;
-      const auto cv = static_cast<NodeId>(comm[static_cast<std::size_t>(e.to)]);
-      agg.add_edge(cu, cv, e.weight);
+    for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+      if (g.to(i) < u) continue;
+      edges.push_back(
+          {cu, static_cast<NodeId>(comm[static_cast<std::size_t>(g.to(i))]),
+           g.weight(i)});
     }
   }
-  return agg;
+  return WeightedCsr(std::move(weight), edges);
 }
 
 }  // namespace
 
 double modularity(const Graph& g, const std::vector<int>& community) {
-  CLOUDQC_CHECK(community.size() == static_cast<std::size_t>(g.num_nodes()));
-  const double m = g.total_edge_weight();
-  if (m == 0.0) return 0.0;
-  int k = 0;
-  for (int c : community) k = std::max(k, c + 1);
-  std::vector<double> in(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> tot(static_cast<std::size_t>(k), 0.0);
-  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  return modularity(WeightedCsr(g), community);
+}
+
+double modularity(const WeightedCsr& g, const std::vector<int>& community) {
+  std::vector<double> degree(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const int cu = community[static_cast<std::size_t>(u)];
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to < u || community[static_cast<std::size_t>(e.to)] != cu) {
-        continue;
-      }
-      in[static_cast<std::size_t>(cu)] +=
-          (e.to == u) ? e.weight : 2.0 * e.weight;
-    }
+    degree[static_cast<std::size_t>(u)] = g.weighted_degree(u);
   }
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    tot[static_cast<std::size_t>(community[static_cast<std::size_t>(u)])] +=
-        g.weighted_degree(u);
-  }
-  double q = 0.0;
-  for (int c = 0; c < k; ++c) {
-    const double tc = tot[static_cast<std::size_t>(c)];
-    q += in[static_cast<std::size_t>(c)] / (2.0 * m) -
-         (tc / (2.0 * m)) * (tc / (2.0 * m));
-  }
-  return q;
+  return modularity_with(g, community, degree);
 }
 
 CommunityResult detect_communities(const Graph& g, const LouvainOptions& opt) {
+  return detect_communities(WeightedCsr(g), opt);
+}
+
+CommunityResult detect_communities(const WeightedCsr& g,
+                                   const LouvainOptions& opt) {
   CommunityResult out;
   const auto n = static_cast<std::size_t>(g.num_nodes());
   out.community.resize(n);
@@ -171,21 +192,24 @@ CommunityResult detect_communities(const Graph& g, const LouvainOptions& opt) {
   if (n == 0) return out;
 
   Rng rng(opt.seed);
-  Graph level_graph = g;
+  // Level 0 is the caller's graph, referenced rather than copied.
+  WeightedCsr aggregated;
+  const WeightedCsr* level_graph = &g;
   // node of original graph -> node of current level graph.
   std::vector<int> node_to_level(n);
   std::iota(node_to_level.begin(), node_to_level.end(), 0);
 
   for (int level = 0; level < opt.max_levels; ++level) {
-    auto [comm, gain] = local_move(level_graph, rng, opt.min_gain);
+    auto [comm, gain] = local_move(*level_graph, rng);
     const int k = densify(comm);
     // Project to original nodes.
     for (std::size_t u = 0; u < n; ++u) {
       node_to_level[u] = comm[static_cast<std::size_t>(node_to_level[u])];
     }
-    const bool shrunk = k < level_graph.num_nodes();
+    const bool shrunk = k < level_graph->num_nodes();
     if (!shrunk || gain < opt.min_gain) break;
-    level_graph = aggregate(level_graph, comm, k);
+    aggregated = aggregate(*level_graph, comm, k);
+    level_graph = &aggregated;
   }
 
   out.community = node_to_level;

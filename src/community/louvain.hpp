@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace cloudqc {
@@ -33,10 +34,17 @@ struct LouvainOptions {
 /// where in_c counts intra-community edge weight (both directions) and
 /// tot_c the weighted degree sum. Returns 0 for edgeless graphs.
 double modularity(const Graph& g, const std::vector<int>& community);
+double modularity(const WeightedCsr& g, const std::vector<int>& community);
 
 /// Louvain: repeated local moving + graph aggregation. Deterministic for a
 /// fixed seed. Isolated nodes become singleton communities.
 CommunityResult detect_communities(const Graph& g,
+                                   const LouvainOptions& opt = {});
+
+/// The same division of an insertion-order CSR of `g`, using the CSR as
+/// level 0 rather than building one. Callers that run Louvain on one
+/// graph many times build the CSR once.
+CommunityResult detect_communities(const WeightedCsr& g,
                                    const LouvainOptions& opt = {});
 
 /// Convenience: the members of each community, indexed by community id.

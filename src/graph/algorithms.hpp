@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace cloudqc {
@@ -45,7 +46,13 @@ std::vector<int> connected_components(const Graph& g);
 /// Eccentricity-minimising node ("graph center"). For disconnected graphs
 /// the center of the largest component is returned. Ties broken by highest
 /// weighted degree, then lowest id. Returns kInvalidNode for empty graphs.
+/// Equal to graph_center_of(g, all ids in order).
 NodeId graph_center(const Graph& g);
+
+/// graph_center of the Graph an insertion-order CSR was taken from, run on
+/// the CSR itself: no induced-subgraph copy, one queue and one distance
+/// buffer for every BFS.
+NodeId graph_center(const WeightedCsr& g);
 
 /// Restrict `center` search to `subset` (distances measured inside the
 /// induced subgraph). Returns kInvalidNode if subset is empty. Order

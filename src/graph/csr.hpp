@@ -1,10 +1,15 @@
-// Flat compressed-sparse-row adjacency with ascending neighbour ids — the
-// traversal-friendly sibling of placement/incremental_cost.hpp's weighted
-// CsrAdjacency. Where that CSR preserves Graph insertion order (required
-// for bit-identical floating-point accumulation), this one *sorts* each
+// Flat compressed-sparse-row snapshots of a Graph.
+//
+// WeightedCsr is the one CSR under the placer's kernels (multilevel
+// partitioning, refinement, Louvain, graph centres, the incremental cost
+// model). It keeps Graph insertion order: every node lists its neighbours
+// exactly as Graph::neighbors does, which first-max tie-breaks (heavy-edge
+// matching, region growing) and floating-point accumulation both observe.
+//
+// SortedCsr is the frontier router's unweighted snapshot. It *sorts* each
 // neighbour list, which is what deterministic lowest-index-first graph
-// traversals (the frontier router's BFS sweeps) want: "first neighbour
-// visited" and "lowest-id neighbour" coincide by construction.
+// traversals want: "first neighbour visited" and "lowest-id neighbour"
+// coincide by construction.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +18,57 @@
 #include "graph/graph.hpp"
 
 namespace cloudqc {
+
+/// Immutable CSR snapshot: offsets, neighbour ids, edge weights and node
+/// weights in flat arrays, plus the graph's total edge weight. Parallel
+/// edges are collapsed and a self-loop is listed once, as in Graph. Safe
+/// to share across threads.
+class WeightedCsr {
+ public:
+  WeightedCsr() = default;
+  explicit WeightedCsr(const Graph& g);
+
+  /// The CSR that Graph::add_edge builds when fed `edges` in order onto
+  /// nodes 0..node_weights.size()-1: a repeated pair accumulates its
+  /// weights in stream order, each node lists its neighbours in the order
+  /// their pairs first appear, and a self-loop (u == v) is listed once.
+  /// O(nodes + edges), with no per-edge duplicate scan.
+  WeightedCsr(std::vector<double> node_weights,
+              const std::vector<Graph::FlatEdge>& edges);
+
+  NodeId num_nodes() const { return static_cast<NodeId>(node_weight_.size()); }
+  std::size_t num_entries() const { return to_.size(); }
+
+  std::size_t begin(NodeId u) const {
+    return offset_[static_cast<std::size_t>(u)];
+  }
+  std::size_t end(NodeId u) const {
+    return offset_[static_cast<std::size_t>(u) + 1];
+  }
+  std::size_t degree(NodeId u) const { return end(u) - begin(u); }
+  NodeId to(std::size_t i) const { return to_[i]; }
+  double weight(std::size_t i) const { return weight_[i]; }
+
+  double node_weight(NodeId u) const {
+    return node_weight_[static_cast<std::size_t>(u)];
+  }
+  /// Σ node weights in id order (bit-identical to Graph::total_node_weight).
+  double total_node_weight() const;
+  /// Sum of all edge weights, each undirected edge once, accumulated in
+  /// the order the edges were added (bit-identical to
+  /// Graph::total_edge_weight).
+  double total_edge_weight() const { return total_edge_weight_; }
+  /// Sum of u's incident edge weights, a self-loop counted twice, in
+  /// neighbour order (bit-identical to Graph::weighted_degree).
+  double weighted_degree(NodeId u) const;
+
+ private:
+  std::vector<std::size_t> offset_;  // num_nodes + 1 entries once built
+  std::vector<NodeId> to_;
+  std::vector<double> weight_;
+  std::vector<double> node_weight_;
+  double total_edge_weight_ = 0.0;
+};
 
 /// Immutable CSR snapshot of an unweighted view of a Graph: two flat
 /// arrays (offsets + neighbour ids), neighbour ids ascending per node,

@@ -14,14 +14,14 @@ namespace {
 struct CoarseLevel {
   /// Node of the next finer level -> node of `graph`.
   std::vector<NodeId> to_coarse;
-  Graph graph;
+  WeightedCsr graph;
 };
 
 /// Heavy-edge matching: visit nodes in random order; match each unmatched
 /// node with its unmatched neighbor of maximum edge weight. Returns
 /// fine->coarse map and the number of coarse nodes.
-std::pair<std::vector<NodeId>, NodeId> heavy_edge_matching(const Graph& g,
-                                                           Rng& rng) {
+std::pair<std::vector<NodeId>, NodeId> heavy_edge_matching(
+    const WeightedCsr& g, Rng& rng) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<NodeId> match(n, kInvalidNode);
   std::vector<NodeId> order(n);
@@ -32,12 +32,13 @@ std::pair<std::vector<NodeId>, NodeId> heavy_edge_matching(const Graph& g,
     if (match[static_cast<std::size_t>(u)] != kInvalidNode) continue;
     NodeId best = kInvalidNode;
     double best_w = -1.0;
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to == u) continue;
-      if (match[static_cast<std::size_t>(e.to)] != kInvalidNode) continue;
-      if (e.weight > best_w) {
-        best_w = e.weight;
-        best = e.to;
+    for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+      const NodeId v = g.to(i);
+      if (v == u) continue;
+      if (match[static_cast<std::size_t>(v)] != kInvalidNode) continue;
+      if (g.weight(i) > best_w) {
+        best_w = g.weight(i);
+        best = v;
       }
     }
     if (best == kInvalidNode) {
@@ -60,35 +61,39 @@ std::pair<std::vector<NodeId>, NodeId> heavy_edge_matching(const Graph& g,
   return {std::move(to_coarse), next};
 }
 
-/// Contract `g` along the fine->coarse map.
-Graph contract(const Graph& g, const std::vector<NodeId>& to_coarse,
-               NodeId coarse_n) {
-  Graph c(coarse_n);
+/// Contract `g` along the fine->coarse map, straight into CSR: the coarse
+/// pairs stream in Graph::edges() order, so every coarse neighbour list
+/// comes out as Graph::add_edge would have built it.
+WeightedCsr contract(const WeightedCsr& g, const std::vector<NodeId>& to_coarse,
+                     NodeId coarse_n) {
+  // Summed on top of 1.0, then less 1.0: the rounding the golden outputs
+  // were recorded with, which fractional node weights can observe.
+  std::vector<double> weight(static_cast<std::size_t>(coarse_n), 1.0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    weight[static_cast<std::size_t>(to_coarse[static_cast<std::size_t>(u)])] +=
+        g.node_weight(u);
+  }
+  for (double& w : weight) w -= 1.0;
+  std::vector<Graph::FlatEdge> edges;
+  edges.reserve(g.num_entries() / 2 + 1);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const NodeId cu = to_coarse[static_cast<std::size_t>(u)];
-    c.set_node_weight(cu, c.node_weight(cu) + g.node_weight(u));
-  }
-  // New nodes default to weight 1; subtract that initial value once.
-  for (NodeId cu = 0; cu < coarse_n; ++cu) {
-    c.set_node_weight(cu, c.node_weight(cu) - 1.0);
-  }
-  // Each undirected edge once (e.to >= u), in Graph::edges() order.
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const NodeId cu = to_coarse[static_cast<std::size_t>(u)];
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to < u) continue;
-      const NodeId cv = to_coarse[static_cast<std::size_t>(e.to)];
-      if (cu != cv) c.add_edge(cu, cv, e.weight);
+    for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+      if (g.to(i) < u) continue;
+      const NodeId cv = to_coarse[static_cast<std::size_t>(g.to(i))];
+      if (cu != cv) edges.push_back({cu, cv, g.weight(i)});
     }
   }
-  return c;
+  return WeightedCsr(std::move(weight), edges);
 }
 
 /// Greedy region growing: grow k regions from random seeds, always expanding
 /// the lightest region across its heaviest frontier edge. Unreached nodes
 /// (disconnected graphs) are swept into the lightest parts at the end.
-std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
-                                        const std::vector<double>& target) {
+/// `frontier` holds k vectors reused across restarts; they are cleared here.
+std::vector<int> grow_initial_partition(
+    const WeightedCsr& g, int k, Rng& rng, const std::vector<double>& target,
+    std::vector<std::vector<NodeId>>& frontier) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<int> part(n, -1);
   std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
@@ -98,7 +103,7 @@ std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
   rng.shuffle(order);
 
   // Seeds: first k nodes of the shuffled order.
-  std::vector<std::vector<NodeId>> frontier(static_cast<std::size_t>(k));
+  for (auto& fr : frontier) fr.clear();
   int seeded = 0;
   for (const NodeId u : order) {
     if (seeded == k) break;
@@ -132,12 +137,12 @@ std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
     double pick_w = -1.0;
     for (std::size_t i = 0; i < fr.size(); ++i) {
       bool live = false;
-      for (const auto& e : g.neighbors(fr[i])) {
-        if (part[static_cast<std::size_t>(e.to)] == -1) {
+      for (std::size_t j = g.begin(fr[i]); j < g.end(fr[i]); ++j) {
+        if (part[static_cast<std::size_t>(g.to(j))] == -1) {
           live = true;
-          if (e.weight > pick_w) {
-            pick_w = e.weight;
-            pick = e.to;
+          if (g.weight(j) > pick_w) {
+            pick_w = g.weight(j);
+            pick = g.to(j);
           }
         }
       }
@@ -183,15 +188,18 @@ std::vector<int> project(const std::vector<int>& coarse_part,
 }  // namespace
 
 double edge_cut(const Graph& g, const std::vector<int>& part) {
+  return edge_cut(WeightedCsr(g), part);
+}
+
+double edge_cut(const WeightedCsr& g, const std::vector<int>& part) {
   CLOUDQC_CHECK(part.size() == static_cast<std::size_t>(g.num_nodes()));
   double cut = 0.0;
-  // Each undirected edge once (e.to >= u), in Graph::edges() order.
+  // Each undirected edge once (to >= u), in Graph::edges() order.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const int pu = part[static_cast<std::size_t>(u)];
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to >= u && part[static_cast<std::size_t>(e.to)] != pu) {
-        cut += e.weight;
-      }
+    for (std::size_t i = g.begin(u); i < g.end(u); ++i) {
+      const NodeId v = g.to(i);
+      if (v >= u && part[static_cast<std::size_t>(v)] != pu) cut += g.weight(i);
     }
   }
   return cut;
@@ -199,6 +207,11 @@ double edge_cut(const Graph& g, const std::vector<int>& part) {
 
 std::vector<double> part_weights(const Graph& g, const std::vector<int>& part,
                                  int min_parts) {
+  return part_weights(WeightedCsr(g), part, min_parts);
+}
+
+std::vector<double> part_weights(const WeightedCsr& g,
+                                 const std::vector<int>& part, int min_parts) {
   int k = min_parts;
   for (int p : part) k = std::max(k, p + 1);
   std::vector<double> w(static_cast<std::size_t>(k), 0.0);
@@ -210,6 +223,11 @@ std::vector<double> part_weights(const Graph& g, const std::vector<int>& part,
 }
 
 PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
+  return partition_graph(WeightedCsr(g), opt);
+}
+
+PartitionResult partition_graph(const WeightedCsr& g,
+                                const PartitionOptions& opt) {
   CLOUDQC_CHECK(opt.num_parts >= 1);
   CLOUDQC_CHECK(opt.imbalance >= 0.0);
   const int k = opt.num_parts;
@@ -234,7 +252,7 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   // single node of that level's granularity makes achievable (METIS-style
   // adaptive bound — coarse nodes are heavy, so the ceiling loosens there
   // and tightens as we uncoarsen).
-  auto ceiling_for = [&](const Graph& level) {
+  auto ceiling_for = [&](const WeightedCsr& level) {
     double max_node = 0.0;
     for (NodeId u = 0; u < level.num_nodes(); ++u) {
       max_node = std::max(max_node, level.node_weight(u));
@@ -246,28 +264,32 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   // Level 0 is the caller's graph, referenced rather than copied; level
   // l > 0 is coarse[l - 1].graph.
   std::vector<CoarseLevel> coarse;
-  auto level = [&](std::size_t l) -> const Graph& {
+  auto level = [&](std::size_t l) -> const WeightedCsr& {
     return l == 0 ? g : coarse[l - 1].graph;
   };
   const NodeId coarse_goal =
       std::max<NodeId>(static_cast<NodeId>(4 * k), 24);
   while (level(coarse.size()).num_nodes() > coarse_goal) {
-    const Graph& fine = level(coarse.size());
+    const WeightedCsr& fine = level(coarse.size());
     auto [to_coarse, cn] = heavy_edge_matching(fine, rng);
     // Matching stagnated (e.g. graph with no edges): stop coarsening.
     if (cn >= fine.num_nodes()) break;
-    Graph contracted = contract(fine, to_coarse, cn);
+    WeightedCsr contracted = contract(fine, to_coarse, cn);
     coarse.push_back({std::move(to_coarse), std::move(contracted)});
   }
 
   // --- 2. Initial partition at the coarsest level ----------------------
-  const Graph& coarsest = level(coarse.size());
+  const WeightedCsr& coarsest = level(coarse.size());
   std::vector<int> part;
   double best_cut = std::numeric_limits<double>::infinity();
   // A few random restarts; keep the best refined result.
   constexpr int kRestarts = 4;
+  std::vector<std::vector<NodeId>> frontier(static_cast<std::size_t>(k));
+  for (auto& fr : frontier) {
+    fr.reserve(static_cast<std::size_t>(coarsest.num_nodes()));
+  }
   for (int t = 0; t < kRestarts; ++t) {
-    auto cand = grow_initial_partition(coarsest, k, rng, target);
+    auto cand = grow_initial_partition(coarsest, k, rng, target, frontier);
     internal::refine_partition(coarsest, cand, k, ceiling_for(coarsest),
                                opt.refine_passes, rng);
     internal::repair_empty_parts(coarsest, cand, k);
@@ -281,7 +303,7 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   // --- 3. Uncoarsen + refine -------------------------------------------
   for (std::size_t lvl = coarse.size(); lvl-- > 0;) {
     part = project(part, coarse[lvl].to_coarse);
-    const Graph& fine = level(lvl);
+    const WeightedCsr& fine = level(lvl);
     internal::refine_partition(fine, part, k, ceiling_for(fine),
                                opt.refine_passes, rng);
     internal::repair_empty_parts(fine, part, k);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace cloudqc {
@@ -42,11 +43,21 @@ struct PartitionResult {
 /// empty part when num_parts <= num_nodes.
 PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt);
 
+/// The same partition of an insertion-order CSR of `g`, using the CSR as
+/// the finest level rather than building one. Callers that partition one
+/// graph many times build the CSR once.
+PartitionResult partition_graph(const WeightedCsr& g,
+                                const PartitionOptions& opt);
+
 /// Weight of edges of `g` crossing between different values of `part`.
 double edge_cut(const Graph& g, const std::vector<int>& part);
+double edge_cut(const WeightedCsr& g, const std::vector<int>& part);
 
 /// Node-weight sums per part (size = max label + 1, at least min_parts).
 std::vector<double> part_weights(const Graph& g, const std::vector<int>& part,
+                                 int min_parts = 0);
+std::vector<double> part_weights(const WeightedCsr& g,
+                                 const std::vector<int>& part,
                                  int min_parts = 0);
 
 }  // namespace cloudqc

@@ -17,29 +17,31 @@
 namespace cloudqc {
 namespace detail {
 
-Graph partition_interaction_graph(const Graph& interaction,
-                                  const std::vector<int>& part, int k) {
-  CLOUDQC_CHECK(part.size() == static_cast<std::size_t>(interaction.num_nodes()));
-  Graph pg(static_cast<NodeId>(k));
+WeightedCsr partition_interaction_graph(const WeightedCsr& interaction,
+                                        const std::vector<int>& part, int k) {
+  CLOUDQC_CHECK(part.size() ==
+                static_cast<std::size_t>(interaction.num_nodes()));
   std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
   for (std::size_t q = 0; q < part.size(); ++q) {
     CLOUDQC_CHECK(part[q] >= 0 && part[q] < k);
     sizes[static_cast<std::size_t>(part[q])] +=
         interaction.node_weight(static_cast<NodeId>(q));
   }
-  for (int p = 0; p < k; ++p) {
-    pg.set_node_weight(p, sizes[static_cast<std::size_t>(p)]);
+  // Each undirected edge once (to >= u), in Graph::edges() order.
+  std::vector<Graph::FlatEdge> cut;
+  for (NodeId u = 0; u < interaction.num_nodes(); ++u) {
+    const int pu = part[static_cast<std::size_t>(u)];
+    for (std::size_t i = interaction.begin(u); i < interaction.end(u); ++i) {
+      const NodeId v = interaction.to(i);
+      const int pv = part[static_cast<std::size_t>(v)];
+      if (v >= u && pu != pv) cut.push_back({pu, pv, interaction.weight(i)});
+    }
   }
-  for (const auto& e : interaction.edges()) {
-    const int pu = part[static_cast<std::size_t>(e.u)];
-    const int pv = part[static_cast<std::size_t>(e.v)];
-    if (pu != pv) pg.add_edge(pu, pv, e.weight);
-  }
-  return pg;
+  return WeightedCsr(std::move(sizes), cut);
 }
 
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    const QuantumCloud& cloud, const WeightedCsr& weighted, int needed_qubits,
     std::uint64_t seed, int min_qpus) {
   if (cloud.total_free_computing() < needed_qubits) return std::nullopt;
 
@@ -107,7 +109,7 @@ std::optional<std::vector<QpuId>> select_qpus_by_community(
 }
 
 std::optional<std::vector<QpuId>> map_partitions(
-    const Graph& part_graph, const QuantumCloud& cloud,
+    const WeightedCsr& part_graph, const QuantumCloud& cloud,
     const std::vector<QpuId>& candidates, CenterMemo& centers) {
   const int k = part_graph.num_nodes();
   if (static_cast<int>(candidates.size()) < k) return std::nullopt;
@@ -128,12 +130,17 @@ std::optional<std::vector<QpuId>> map_partitions(
   std::vector<QpuId> mapping(static_cast<std::size_t>(k), kInvalidNode);
   std::vector<char> used(candidates.size(), 0);
 
-  auto free_cap = [&](std::size_t ci) {
-    return cloud.qpu(candidates[ci]).free_computing();
-  };
-  auto part_size = [&](NodeId p) {
-    return static_cast<int>(std::lround(part_graph.node_weight(p)));
-  };
+  // Free capacity per candidate and size per partition, read once: the
+  // loops below test them for every (partition, candidate) pair.
+  std::vector<int> free_cap(candidates.size());
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+    free_cap[ci] = cloud.qpu(candidates[ci]).free_computing();
+  }
+  std::vector<int> part_size(static_cast<std::size_t>(k));
+  for (NodeId p = 0; p < k; ++p) {
+    part_size[static_cast<std::size_t>(p)] =
+        static_cast<int>(std::lround(part_graph.node_weight(p)));
+  }
 
   // Place the partition-graph center on the candidate center (or, if the
   // center QPU is too small, the nearest feasible candidate).
@@ -142,7 +149,9 @@ std::optional<std::vector<QpuId>> map_partitions(
     std::size_t best = candidates.size();
     int best_d = std::numeric_limits<int>::max();
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (used[ci] || free_cap(ci) < part_size(p)) continue;
+      if (used[ci] || free_cap[ci] < part_size[static_cast<std::size_t>(p)]) {
+        continue;
+      }
       const int d = cloud.distance(candidates[ci], target);
       if (d < best_d) {
         best_d = d;
@@ -165,9 +174,10 @@ std::optional<std::vector<QpuId>> map_partitions(
     for (NodeId p = 0; p < k; ++p) {
       if (mapping[static_cast<std::size_t>(p)] != kInvalidNode) continue;
       double conn = 0.0;
-      for (const auto& e : part_graph.neighbors(p)) {
-        if (mapping[static_cast<std::size_t>(e.to)] != kInvalidNode) {
-          conn += e.weight;
+      for (std::size_t i = part_graph.begin(p); i < part_graph.end(p); ++i) {
+        if (mapping[static_cast<std::size_t>(part_graph.to(i))] !=
+            kInvalidNode) {
+          conn += part_graph.weight(i);
         }
       }
       if (conn > next_conn) {
@@ -180,12 +190,16 @@ std::optional<std::vector<QpuId>> map_partitions(
     std::size_t best = candidates.size();
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (used[ci] || free_cap(ci) < part_size(next)) continue;
+      if (used[ci] ||
+          free_cap[ci] < part_size[static_cast<std::size_t>(next)]) {
+        continue;
+      }
       double cost = 0.0;
-      for (const auto& e : part_graph.neighbors(next)) {
-        const QpuId peer = mapping[static_cast<std::size_t>(e.to)];
+      for (std::size_t i = part_graph.begin(next); i < part_graph.end(next);
+           ++i) {
+        const QpuId peer = mapping[static_cast<std::size_t>(part_graph.to(i))];
         if (peer != kInvalidNode) {
-          cost += e.weight * cloud.distance(candidates[ci], peer);
+          cost += part_graph.weight(i) * cloud.distance(candidates[ci], peer);
         }
       }
       // Unconnected partitions fall back to centrality.
@@ -288,14 +302,17 @@ class CloudQcFamilyPlacer final : public Placer {
             ? k_cap
             : std::min(k_cap, k_min + opts_.max_extra_parts);
 
-    // One interaction graph for the whole imbalance/k sweep, shared with
-    // the polish pass's delta-cost engine via the context.
-    const Graph& interaction = *ctx.interaction;
+    // One interaction CSR for the whole imbalance/k sweep: the finest
+    // level of every partition, shared with the polish pass's delta-cost
+    // engine via the context.
+    const WeightedCsr& interaction = *ctx.csr;
     // `cloud` is const for the whole call, so its resource-weighted
-    // topology and the centres of candidate sets are built once per call.
-    const Graph weighted = select_ == QpuSelect::kCommunity
-                               ? cloud.resource_weighted_topology()
-                               : Graph();
+    // topology (level 0 of every Louvain run) and the centres of candidate
+    // sets are built once per call.
+    const WeightedCsr weighted =
+        select_ == QpuSelect::kCommunity
+            ? WeightedCsr(cloud.resource_weighted_topology())
+            : WeightedCsr();
     detail::CenterMemo centers;
     std::optional<Placement> best;
 
@@ -307,7 +324,7 @@ class CloudQcFamilyPlacer final : public Placer {
         popt.seed = rng();
         const PartitionResult pres = partition_graph(interaction, popt);
 
-        const Graph part_graph =
+        const WeightedCsr part_graph =
             detail::partition_interaction_graph(interaction, pres.part, k);
 
         // Capacity slack covers the partition imbalance so parts of up to

@@ -70,11 +70,34 @@ std::vector<std::size_t> remote_ops_per_qpu(
   return count;
 }
 
-double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
-                               const QuantumCloud& cloud,
-                               const std::vector<QpuId>& qubit_to_qpu) {
+namespace {
+
+/// What finalize_placement derives from the gate list, in one pass: the
+/// communication cost and remote-op count (summed in gate order, as
+/// placement_comm_cost and placement_remote_ops do) and the execution-time
+/// estimate.
+struct GateCosts {
+  double comm_cost = 0.0;
+  std::size_t remote_ops = 0;
+  double est_time = 0.0;
+};
+
+GateCosts cost_gates(const Circuit& circuit, const CircuitDag& dag,
+                     const QuantumCloud& cloud,
+                     const std::vector<QpuId>& qubit_to_qpu) {
+  CLOUDQC_CHECK(qubit_to_qpu.size() ==
+                static_cast<std::size_t>(circuit.num_qubits()));
   const LatencyModel& lat = cloud.config().latency;
   const EprModel epr(cloud.config().epr_success_prob);
+  auto price = [&](int hops) {
+    return epr.expected_rounds(hops, 1) * lat.t_epr +
+           lat.remote_gate_overhead();
+  };
+  // A remote gate's cost depends only on its hop count, so each distinct
+  // count is priced once (negative = not yet priced). A disconnected pair
+  // (hops -1) goes straight to the EPR model, which rejects it.
+  std::vector<double> remote_cost;
+  GateCosts out;
   std::vector<double> node_cost(circuit.num_gates());
   for (std::size_t i = 0; i < circuit.num_gates(); ++i) {
     const Gate& g = circuit.gates()[i];
@@ -89,14 +112,31 @@ double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
       const QpuId b = qubit_to_qpu[static_cast<std::size_t>(g.qubits[1])];
       if (a == b) {
         node_cost[i] = lat.t_2q;
+        continue;
+      }
+      const int hops = cloud.distance(a, b);
+      out.comm_cost += hops;
+      ++out.remote_ops;
+      if (hops < 0) {
+        node_cost[i] = price(hops);
       } else {
-        const int hops = cloud.distance(a, b);
-        node_cost[i] = epr.expected_rounds(hops, 1) * lat.t_epr +
-                       lat.remote_gate_overhead();
+        const auto h = static_cast<std::size_t>(hops);
+        if (h >= remote_cost.size()) remote_cost.resize(h + 1, -1.0);
+        if (remote_cost[h] < 0.0) remote_cost[h] = price(hops);
+        node_cost[i] = remote_cost[h];
       }
     }
   }
-  return dag.critical_path(node_cost);
+  out.est_time = dag.critical_path(node_cost);
+  return out;
+}
+
+}  // namespace
+
+double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
+                               const QuantumCloud& cloud,
+                               const std::vector<QpuId>& qubit_to_qpu) {
+  return cost_gates(circuit, dag, cloud, qubit_to_qpu).est_time;
 }
 
 std::vector<int> qubits_per_qpu(const QuantumCloud& cloud,
@@ -129,9 +169,10 @@ Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
   Placement p;
   p.qubit_to_qpu = std::move(qubit_to_qpu);
   p.qubits_per_qpu = qubits_per_qpu(cloud, p.qubit_to_qpu);
-  p.comm_cost = placement_comm_cost(circuit, cloud, p.qubit_to_qpu);
-  p.remote_ops = placement_remote_ops(circuit, p.qubit_to_qpu);
-  p.est_time = estimate_execution_time(circuit, dag, cloud, p.qubit_to_qpu);
+  const GateCosts costs = cost_gates(circuit, dag, cloud, p.qubit_to_qpu);
+  p.comm_cost = costs.comm_cost;
+  p.remote_ops = costs.remote_ops;
+  p.est_time = costs.est_time;
   // S = α/T + β/C; a zero-cost (single-QPU) placement is the best possible
   // for the C-term, represented by treating 1/C as 1/(C+1) shifted — we use
   // C+1 and T+1 to keep the score finite and monotone.

@@ -9,26 +9,28 @@
 #include <vector>
 
 #include "cloud/cloud.hpp"
-#include "graph/graph.hpp"
+#include "graph/csr.hpp"
 #include "placement/placement.hpp"
 
 namespace cloudqc::detail {
 
 /// Contract a qubit interaction graph along `part` labels: node i is
 /// partition i (node weight = #qubits), edge (i, j) sums the 2-qubit-gate
-/// weight crossing the two partitions.
-Graph partition_interaction_graph(const Graph& interaction,
-                                  const std::vector<int>& part, int k);
+/// weight crossing the two partitions. Built straight into CSR, with the
+/// neighbour lists Graph::add_edge gives when fed the crossing edges in
+/// Graph::edges() order.
+WeightedCsr partition_interaction_graph(const WeightedCsr& interaction,
+                                        const std::vector<int>& part, int k);
 
 /// Community-detection QPU selection (CloudQC proper): detect communities
-/// on the resource-weighted topology `weighted` (=
+/// on the resource-weighted topology `weighted` (an insertion-order CSR of
 /// cloud.resource_weighted_topology(), built by the caller so a sweep over
 /// one unchanged cloud builds it once), pick the best-fitting community for
 /// `needed_qubits`, growing it with the nearest other communities when one
 /// community alone is too small or offers fewer than `min_qpus` hosts.
 /// Returns QPU ids, or nullopt when the whole cloud cannot fit the request.
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    const QuantumCloud& cloud, const WeightedCsr& weighted, int needed_qubits,
     std::uint64_t seed, int min_qpus = 1);
 
 /// BFS QPU selection (CloudQC-BFS baseline): breadth-first expansion from
@@ -64,7 +66,7 @@ using CenterMemo = std::map<std::vector<QpuId>, QpuId>;
 /// a miss. Returns partition→QPU, or nullopt when capacities cannot be
 /// satisfied.
 std::optional<std::vector<QpuId>> map_partitions(
-    const Graph& part_graph, const QuantumCloud& cloud,
+    const WeightedCsr& part_graph, const QuantumCloud& cloud,
     const std::vector<QpuId>& candidates, CenterMemo& centers);
 
 }  // namespace cloudqc::detail

@@ -21,37 +21,9 @@
 
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
-#include "graph/graph.hpp"
+#include "graph/csr.hpp"
 
 namespace cloudqc {
-
-/// Immutable compressed-sparse-row snapshot of a weighted graph's
-/// adjacency. Iteration order per node matches Graph::neighbors exactly
-/// (required for bit-identical floating-point accumulation), but all
-/// neighbour lists share two flat arrays, so sweeping many nodes stays
-/// cache-friendly. Safe to share across threads.
-class CsrAdjacency {
- public:
-  explicit CsrAdjacency(const Graph& g);
-
-  NodeId num_nodes() const { return static_cast<NodeId>(offset_.size() - 1); }
-  std::size_t num_entries() const { return to_.size(); }
-
-  std::size_t begin(NodeId u) const {
-    return offset_[static_cast<std::size_t>(u)];
-  }
-  std::size_t end(NodeId u) const {
-    return offset_[static_cast<std::size_t>(u) + 1];
-  }
-  std::size_t degree(NodeId u) const { return end(u) - begin(u); }
-  NodeId to(std::size_t i) const { return to_[i]; }
-  double weight(std::size_t i) const { return weight_[i]; }
-
- private:
-  std::vector<std::size_t> offset_;  // size num_nodes + 1
-  std::vector<NodeId> to_;
-  std::vector<double> weight_;
-};
 
 /// Shared per-request precomputation for one circuit, built once and reused
 /// across racing strategies (and across the imbalance/k sweep inside the
@@ -61,11 +33,12 @@ class CsrAdjacency {
 /// of the circuit (and, for warm_start, of the serial request history —
 /// fixed before the context is shared).
 struct PlacementContext {
-  /// The paper's D_ij multigraph: node per qubit, edge weight = number of
-  /// 2-qubit gates between the endpoints.
-  std::shared_ptr<const Graph> interaction;
-  /// CSR snapshot of `interaction` for the delta-cost engine.
-  std::shared_ptr<const CsrAdjacency> csr;
+  /// The paper's D_ij multigraph as an insertion-order CSR: node per
+  /// qubit, edge weight = number of 2-qubit gates between the endpoints,
+  /// neighbour lists exactly as in Circuit::interaction_graph(). Level 0
+  /// of the CloudQC family's partitioner and the delta-cost engine's
+  /// adjacency.
+  std::shared_ptr<const WeightedCsr> csr;
   /// Optional seed placement (the placement cache's near-hit hook): a
   /// previously computed qubit→QPU mapping for this circuit. Optimizing
   /// placers start from it instead of a cold random assignment when it is
@@ -89,7 +62,7 @@ class IncrementalCostModel {
 
   /// Reuses a prebuilt CSR (e.g. from a PlacementContext shared across
   /// racing strategies).
-  IncrementalCostModel(std::shared_ptr<const CsrAdjacency> csr,
+  IncrementalCostModel(std::shared_ptr<const WeightedCsr> csr,
                        const QuantumCloud& cloud);
 
   /// Load a mapping and recompute usage + cost from scratch: O(V + E).
@@ -138,7 +111,7 @@ class IncrementalCostModel {
   void apply_swap(int q1, int q2, double delta);
 
  private:
-  std::shared_ptr<const CsrAdjacency> csr_;
+  std::shared_ptr<const WeightedCsr> csr_;
   const QuantumCloud* cloud_;
   std::vector<QpuId> mapping_;
   std::vector<int> usage_;
@@ -152,12 +125,14 @@ class IncrementalCostModel {
 /// Cut-metric sibling of IncrementalCostModel used by FM-style k-way
 /// partition refinement: the hop distance degenerates to the 0/1 cut
 /// indicator, so a node's move gain needs only its connectivity to each
-/// part. Tracks part weights incrementally and recomputes per-node
+/// part. Borrows the CSR of the level being refined (it must outlive the
+/// model), tracks part weights incrementally and recomputes per-node
 /// connectivity in O(degree(u)) with sparse clearing (no O(k) zeroing per
 /// visited node).
 class PartitionConnectivity {
  public:
-  PartitionConnectivity(const Graph& g, int k);
+  PartitionConnectivity(const WeightedCsr& g, int k);
+  PartitionConnectivity(WeightedCsr&&, int) = delete;
 
   /// Load a part assignment and recompute part weights: O(V).
   void reset(const std::vector<int>& part);
@@ -170,14 +145,35 @@ class PartitionConnectivity {
   /// Connectivity of u to every part (self-loops excluded), recomputed in
   /// O(degree(u)). The returned buffer is dense over the k parts and valid
   /// until the next connectivity() call.
-  const std::vector<double>& connectivity(NodeId u);
+  const std::vector<double>& connectivity(NodeId u) {
+    for (const int p : touched_) conn_[static_cast<std::size_t>(p)] = 0.0;
+    touched_.clear();
+    for (std::size_t i = csr_->begin(u); i < csr_->end(u); ++i) {
+      const NodeId v = csr_->to(i);
+      if (v == u) continue;
+      const int p = part_[static_cast<std::size_t>(v)];
+      double& c = conn_[static_cast<std::size_t>(p)];
+      if (c == 0.0) touched_.push_back(p);
+      c += csr_->weight(i);
+    }
+    return conn_;
+  }
+
+  /// The parts holding u's neighbours at the last connectivity(u) call, in
+  /// first-seen order: every part with nonzero connectivity is listed. A
+  /// part repeats only if its weights summed to exactly zero on the way.
+  const std::vector<int>& neighbor_parts() const { return touched_; }
 
   /// Move u to part `to`, updating part weights in O(1).
-  void move(NodeId u, int to);
+  void move(NodeId u, int to) {
+    const double w = csr_->node_weight(u);
+    weight_[static_cast<std::size_t>(part_[static_cast<std::size_t>(u)])] -= w;
+    weight_[static_cast<std::size_t>(to)] += w;
+    part_[static_cast<std::size_t>(u)] = to;
+  }
 
  private:
-  CsrAdjacency csr_;
-  std::vector<double> node_weight_;
+  const WeightedCsr* csr_;
   int k_;
   std::vector<int> part_;
   std::vector<double> weight_;

@@ -33,7 +33,7 @@ constexpr std::uint64_t kSaltLo = 0x165667B19E3779F9ull;
 
 }  // namespace
 
-CircuitFingerprint circuit_fingerprint(const CsrAdjacency& csr) {
+CircuitFingerprint circuit_fingerprint(const WeightedCsr& csr) {
   // Commutative (wrapping-sum) combine over undirected edges: the CSR's
   // adjacency order depends on gate order, the fingerprint must not.
   CircuitFingerprint fp;
@@ -54,7 +54,7 @@ CircuitFingerprint circuit_fingerprint(const CsrAdjacency& csr) {
 }
 
 CircuitFingerprint circuit_fingerprint(const Circuit& circuit) {
-  return circuit_fingerprint(CsrAdjacency(circuit.interaction_graph()));
+  return circuit_fingerprint(*PlacementContext::for_circuit(circuit).csr);
 }
 
 std::vector<int> capacity_signature(const QuantumCloud& cloud) {

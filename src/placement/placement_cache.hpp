@@ -54,7 +54,7 @@
 
 namespace cloudqc {
 
-class CsrAdjacency;  // placement/incremental_cost.hpp
+class WeightedCsr;  // graph/csr.hpp
 
 /// Cache knobs, engine-facing (EngineOptions carries a non-owning
 /// PlacementCache*; scenario specs carry these and the engine
@@ -85,9 +85,9 @@ struct CircuitFingerprint {
 /// Fingerprint from a prebuilt interaction CSR (the PlacementContext
 /// artefact; O(E)). Edge hashes are combined commutatively, so the result
 /// is independent of adjacency-list order and therefore of gate order.
-CircuitFingerprint circuit_fingerprint(const CsrAdjacency& csr);
+CircuitFingerprint circuit_fingerprint(const WeightedCsr& csr);
 
-/// Convenience overload: builds the interaction graph first (O(gates)).
+/// Convenience overload: builds the interaction CSR first (O(gates)).
 CircuitFingerprint circuit_fingerprint(const Circuit& circuit);
 
 /// The per-QPU free-computing vector — the same signature AdmissionGate

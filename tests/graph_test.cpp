@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 
@@ -169,6 +172,56 @@ TEST(GraphCenter, StarCenterIsHub) {
 TEST(GraphCenter, EmptyGraphReturnsInvalid) {
   Graph g;
   EXPECT_EQ(graph_center(g), kInvalidNode);
+}
+
+TEST(GraphCenter, DegreeTieBreakSumsInInducedSubgraphOrder) {
+  // Hubs 3 and 4 both have eccentricity 1, so the weighted degree decides.
+  // Hub 3's edges are inserted in descending id order: summed that way its
+  // degree rounds to 0.9999999999999999 and hub 4 (exactly 1.0) would win;
+  // summed in graph_center_of's induced-subgraph order (ascending ids) it
+  // is exactly 1.0, and the tie goes to the lower id.
+  Graph g(5);
+  g.add_edge(3, 4, 0.4);
+  g.add_edge(3, 2, 0.3);
+  g.add_edge(3, 1, 0.2);
+  g.add_edge(3, 0, 0.1);
+  g.add_edge(4, 0, 0.25);
+  g.add_edge(4, 1, 0.25);
+  g.add_edge(4, 2, 0.1);
+  ASSERT_EQ(graph_center_of(g, {0, 1, 2, 3, 4}), 3);
+  EXPECT_EQ(graph_center(g), 3);
+}
+
+TEST(GraphCenter, MatchesGraphCenterOfAllIds) {
+  // Rings with random chords: many nodes share the minimum eccentricity,
+  // and fractional weights inserted in random order make the weighted-
+  // degree tie-break depend on summation order.
+  constexpr double kWeights[] = {0.1, 0.2, 0.3, 0.7, 1.0};
+  Rng rng(17);
+  for (int iter = 0; iter < 300; ++iter) {
+    const auto n = static_cast<NodeId>(1 + rng.below(16));
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId i = 0; i + 1 < n; ++i) pairs.emplace_back(i, i + 1);
+    if (n > 2) pairs.emplace_back(n - 1, 0);
+    const auto span = static_cast<std::uint64_t>(n);
+    const auto chords = rng.below(span);
+    for (std::uint64_t c = 0; c < chords; ++c) {
+      const auto u = static_cast<NodeId>(rng.below(span));
+      pairs.emplace_back(u, static_cast<NodeId>(rng.below(span)));
+    }
+    rng.shuffle(pairs);
+    Graph g(n);
+    for (const auto& [u, v] : pairs) {
+      if (rng.chance(0.5)) {
+        g.add_edge(u, v, kWeights[rng.below(5)]);
+      } else {
+        g.add_edge(v, u, kWeights[rng.below(5)]);
+      }
+    }
+    std::vector<NodeId> all(static_cast<std::size_t>(n));
+    for (NodeId i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
+    ASSERT_EQ(graph_center(g), graph_center_of(g, all)) << "iter " << iter;
+  }
 }
 
 TEST(GraphCenterOf, SubsetRestricts) {

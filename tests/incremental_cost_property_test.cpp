@@ -164,7 +164,8 @@ TEST(IncrementalCostProperty, PartitionConnectivityMatchesBruteForce) {
   const int k = 4;
   const Circuit c = random_circuit(rng, n, 200, /*two_qubit_gates=*/true);
   const Graph g = c.interaction_graph();
-  PartitionConnectivity model(g, k);
+  const WeightedCsr csr(g);
+  PartitionConnectivity model(csr, k);
   std::vector<int> part(static_cast<std::size_t>(n));
   for (auto& p : part) p = static_cast<int>(rng.below(k));
   model.reset(part);

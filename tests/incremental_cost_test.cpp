@@ -7,6 +7,8 @@
 // job's unit+integration sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuit/generators.hpp"
 #include "graph/topology.hpp"
 #include "placement/cost.hpp"
@@ -25,14 +27,21 @@ QuantumCloud ring_cloud(int num_qpus, int computing) {
 TEST(IncrementalCost, CsrMatchesGraphAdjacency) {
   const Circuit c = gen::qft(12);
   const Graph g = c.interaction_graph();
-  const CsrAdjacency csr(g);
-  ASSERT_EQ(csr.num_nodes(), g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& adj = g.neighbors(u);
-    ASSERT_EQ(csr.degree(u), adj.size());
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      EXPECT_EQ(csr.to(csr.begin(u) + i), adj[i].to);
-      EXPECT_EQ(csr.weight(csr.begin(u) + i), adj[i].weight);
+  // The snapshot of the Graph, and the context's CSR built from the gate
+  // stream without one, both list neighbours in Graph order.
+  const WeightedCsr from_graph(g);
+  const PlacementContext ctx = PlacementContext::for_circuit(c);
+  for (const WeightedCsr* csr : {&from_graph, ctx.csr.get()}) {
+    ASSERT_EQ(csr->num_nodes(), g.num_nodes());
+    EXPECT_EQ(csr->total_edge_weight(), g.total_edge_weight());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto& adj = g.neighbors(u);
+      ASSERT_EQ(csr->degree(u), adj.size());
+      EXPECT_EQ(csr->node_weight(u), g.node_weight(u));
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        EXPECT_EQ(csr->to(csr->begin(u) + i), adj[i].to);
+        EXPECT_EQ(csr->weight(csr->begin(u) + i), adj[i].weight);
+      }
     }
   }
 }
@@ -75,7 +84,8 @@ TEST(IncrementalCost, PartitionConnectivityScatterAndWeights) {
   const Circuit c = gen::qft(14);
   const Graph g = c.interaction_graph();
   constexpr int kParts = 3;
-  PartitionConnectivity model(g, kParts);
+  const WeightedCsr csr(g);
+  PartitionConnectivity model(csr, kParts);
   Rng rng(5);
   std::vector<int> part(14);
   for (auto& p : part) p = static_cast<int>(rng.below(kParts));
@@ -90,6 +100,11 @@ TEST(IncrementalCost, PartitionConnectivityScatterAndWeights) {
           part[static_cast<std::size_t>(e.to)])] += e.weight;
     }
     ASSERT_EQ(conn, expect);
+    for (int p = 0; p < kParts; ++p) {
+      const auto& listed = model.neighbor_parts();
+      EXPECT_EQ(expect[static_cast<std::size_t>(p)] != 0.0,
+                std::find(listed.begin(), listed.end(), p) != listed.end());
+    }
     const int to = static_cast<int>(rng.below(kParts));
     model.move(u, to);
     part[static_cast<std::size_t>(u)] = to;

@@ -139,10 +139,12 @@ TEST(PartitionInteractionGraph, AggregatesCuts) {
   ig.add_edge(0, 1, 3.0);
   ig.add_edge(1, 2, 2.0);
   ig.add_edge(2, 3, 4.0);
-  const Graph pg =
-      detail::partition_interaction_graph(ig, {0, 0, 1, 1}, 2);
+  const WeightedCsr pg =
+      detail::partition_interaction_graph(WeightedCsr(ig), {0, 0, 1, 1}, 2);
   EXPECT_EQ(pg.num_nodes(), 2);
-  EXPECT_DOUBLE_EQ(pg.edge_weight(0, 1), 2.0);
+  ASSERT_EQ(pg.degree(0), 1u);
+  EXPECT_EQ(pg.to(pg.begin(0)), 1);
+  EXPECT_DOUBLE_EQ(pg.weight(pg.begin(0)), 2.0);
   EXPECT_DOUBLE_EQ(pg.node_weight(0), 2.0);  // two qubits
 }
 
@@ -153,13 +155,14 @@ std::optional<std::vector<QpuId>> select_community(const QuantumCloud& cloud,
                                                    std::uint64_t seed,
                                                    int min_qpus = 1) {
   return detail::select_qpus_by_community(
-      cloud, cloud.resource_weighted_topology(), needed, seed, min_qpus);
+      cloud, WeightedCsr(cloud.resource_weighted_topology()), needed, seed,
+      min_qpus);
 }
 
 /// Algorithm 2 with an empty centre memo: the reference for callers that
 /// share one memo across calls.
 std::optional<std::vector<QpuId>> map_fresh(
-    const Graph& pg, const QuantumCloud& cloud,
+    const WeightedCsr& pg, const QuantumCloud& cloud,
     const std::vector<QpuId>& candidates) {
   detail::CenterMemo centers;
   return detail::map_partitions(pg, cloud, candidates, centers);
@@ -195,7 +198,7 @@ TEST(SelectQpus, SharedWeightedTopologyMatchesFreshBuilds) {
   for (const std::uint64_t cloud_seed : {3u, 4u}) {
     for (const QuantumCloud& cloud :
          {paper_cloud(cloud_seed), scattered_cloud(cloud_seed)}) {
-      const Graph weighted = cloud.resource_weighted_topology();
+      const WeightedCsr weighted(cloud.resource_weighted_topology());
       for (const int needed : {10, 40, 70, 100, 1000}) {
         for (int min_qpus = 1; min_qpus <= 4; ++min_qpus) {
           for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -219,7 +222,7 @@ TEST(SelectQpus, SharedWeightedTopologyMatchesFreshBuilds) {
 TEST(MapPartitions, SharedCenterMemoMatchesFreshCalls) {
   const QuantumCloud cloud = scattered_cloud(3);
   const Circuit c = make_workload("knn_n67");
-  const Graph interaction = c.interaction_graph();
+  const WeightedCsr interaction(c.interaction_graph());
   std::vector<std::vector<QpuId>> candidate_sets;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     auto set = select_community(cloud, 90, seed, 4);
@@ -236,7 +239,7 @@ TEST(MapPartitions, SharedCenterMemoMatchesFreshCalls) {
       PartitionOptions popt;
       popt.num_parts = k;
       popt.seed = static_cast<std::uint64_t>(k);
-      const Graph pg = detail::partition_interaction_graph(
+      const WeightedCsr pg = detail::partition_interaction_graph(
           interaction, partition_graph(interaction, popt).part, k);
       for (const auto& candidates : candidate_sets) {
         EXPECT_EQ(map_fresh(pg, cloud, candidates),
@@ -258,9 +261,10 @@ TEST(MapPartitions, CenterMemoKeysOnCandidateOrder) {
   cfg.num_qpus = 6;
   cfg.computing_qubits_per_qpu = 10;
   const QuantumCloud cloud(cfg, ring_topology(6));
-  Graph pg(2);
-  for (NodeId p = 0; p < 2; ++p) pg.set_node_weight(p, 5.0);
-  pg.add_edge(0, 1, 1.0);
+  Graph g(2);
+  for (NodeId p = 0; p < 2; ++p) g.set_node_weight(p, 5.0);
+  g.add_edge(0, 1, 1.0);
+  const WeightedCsr pg(g);
   detail::CenterMemo centers;
   for (const std::vector<QpuId>& candidates :
        {std::vector<QpuId>{0, 1, 2, 3, 4, 5},
@@ -277,7 +281,7 @@ TEST(MapPartitions, TooFewCandidatesFails) {
   Graph pg(3);
   pg.add_edge(0, 1, 5.0);
   pg.add_edge(1, 2, 5.0);
-  EXPECT_FALSE(map_fresh(pg, cloud, {0, 1}).has_value());
+  EXPECT_FALSE(map_fresh(WeightedCsr(pg), cloud, {0, 1}).has_value());
 }
 
 TEST(MapPartitions, HeavyNeighboursLandClose) {
@@ -290,7 +294,7 @@ TEST(MapPartitions, HeavyNeighboursLandClose) {
   for (NodeId p = 0; p < 3; ++p) pg.set_node_weight(p, 5.0);
   pg.add_edge(0, 1, 100.0);
   pg.add_edge(1, 2, 100.0);
-  const auto mapping = map_fresh(pg, cloud, {0, 1, 2, 3, 4, 5});
+  const auto mapping = map_fresh(WeightedCsr(pg), cloud, {0, 1, 2, 3, 4, 5});
   ASSERT_TRUE(mapping.has_value());
   // Adjacent parts must sit on adjacent QPUs.
   EXPECT_EQ(cloud.distance((*mapping)[0], (*mapping)[1]), 1);
