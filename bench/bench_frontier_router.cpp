@@ -16,7 +16,7 @@
 //     queue that tree caching amortises across rounds (the frontier
 //     router's best case), while the torus has no structural chokepoint,
 //     so its all-to-all contention mostly measures raw sweep constants
-//     (CSR scans, no per-call allocation, bottom-up switching) — and the
+//     (CSR scans, no per-call allocation, reused sweep buffers) — and the
 //     geomean is the standard composite score over such a matrix.
 //     Per-topology speedups are still reported in the table and JSON.
 //

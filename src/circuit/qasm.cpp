@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -73,12 +75,17 @@ class Cursor {
   int integer() {
     skip_ws();
     std::size_t start = pos_;
+    long long value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      value = value * 10 + (text_[pos_] - '0');
+      if (value > std::numeric_limits<int>::max()) {
+        fail(line_, "integer too large");
+      }
       ++pos_;
     }
     if (start == pos_) fail(line_, "expected integer");
-    return std::stoi(std::string(text_.substr(start, pos_ - start)));
+    return static_cast<int>(value);
   }
 
   int line() const { return line_; }
@@ -114,9 +121,20 @@ class Cursor {
     }
   }
   double parse_unary() {
-    if (consume('-')) return -parse_unary();
-    if (consume('+')) return parse_unary();
-    return parse_pow();
+    // Every nesting level (parenthesis, sign, exponent, function call)
+    // passes through here; the bound keeps hostile input off the stack.
+    constexpr int kMaxDepth = 256;
+    if (++depth_ > kMaxDepth) fail(line_, "expression nested too deeply");
+    double v = 0.0;
+    if (consume('-')) {
+      v = -parse_unary();
+    } else if (consume('+')) {
+      v = parse_unary();
+    } else {
+      v = parse_pow();
+    }
+    --depth_;
+    return v;
   }
   double parse_pow() {
     double base = parse_atom();
@@ -141,7 +159,13 @@ class Cursor {
                (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
         ++pos_;
       }
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
+      const std::string token(text_.substr(start, pos_ - start));
+      char* end = nullptr;
+      const double v = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) {
+        fail(line_, "malformed number '" + token + "'");
+      }
+      return v;
     }
     // pi, a gate parameter, or a function call (sin/cos/tan/exp/ln/sqrt
     // per OpenQASM 2).
@@ -169,6 +193,7 @@ class Cursor {
   std::size_t pos_ = 0;
   int line_;
   const std::map<std::string, double>* vars_;
+  int depth_ = 0;  // current parse_unary nesting
 };
 
 std::optional<GateKind> lookup_gate(const std::string& name) {
@@ -280,6 +305,7 @@ void apply_gate(Circuit& circ, GateKind kind, double param,
       q[i] = static_cast<QubitId>(ops[i].reg->offset + idx);
     }
     if (two) {
+      if (q[0] == q[1]) fail(line, "2-qubit gate needs distinct qubits");
       circ.add(Gate::two(kind, q[0], q[1], param));
     } else {
       circ.add(Gate::one(kind, q[0], param));
@@ -336,6 +362,10 @@ class Executor {
         while (cur.consume(',')) params.push_back(cur.expr());
       }
       cur.expect(')');
+    }
+    // Overflowing literals and expressions such as 1/0 end up here.
+    for (const double p : params) {
+      if (!std::isfinite(p)) fail(s.line, "gate parameter is not finite");
     }
     std::vector<Operand> ops;
     ops.push_back(parse_operand(cur, st_, subst));
@@ -512,6 +542,9 @@ Circuit parse_qasm(std::string_view source, std::string name) {
       cur.expect('[');
       r.size = cur.integer();
       cur.expect(']');
+      if (r.size > std::numeric_limits<int>::max() - total_qubits) {
+        fail(s.line, "too many qubits");
+      }
       r.offset = total_qubits;
       total_qubits += r.size;
       st.qregs.push_back(r);

@@ -179,19 +179,23 @@ double modularity(const WeightedCsr& g, const std::vector<int>& community) {
   return modularity_with(g, community, degree);
 }
 
-CommunityResult detect_communities(const Graph& g, const LouvainOptions& opt) {
-  return detect_communities(WeightedCsr(g), opt);
+CommunityResult detect_communities(const Graph& g, std::uint64_t seed) {
+  return detect_communities(WeightedCsr(g), seed);
 }
 
-CommunityResult detect_communities(const WeightedCsr& g,
-                                   const LouvainOptions& opt) {
+CommunityResult detect_communities(const WeightedCsr& g, std::uint64_t seed) {
+  // Cap on aggregate/local-move rounds, and the smallest modularity gain
+  // of a level's local moves that is worth another level.
+  constexpr int kMaxLevels = 16;
+  constexpr double kMinGain = 1e-7;
+
   CommunityResult out;
   const auto n = static_cast<std::size_t>(g.num_nodes());
   out.community.resize(n);
   std::iota(out.community.begin(), out.community.end(), 0);
   if (n == 0) return out;
 
-  Rng rng(opt.seed);
+  Rng rng(seed);
   // Level 0 is the caller's graph, referenced rather than copied.
   WeightedCsr aggregated;
   const WeightedCsr* level_graph = &g;
@@ -199,7 +203,7 @@ CommunityResult detect_communities(const WeightedCsr& g,
   std::vector<int> node_to_level(n);
   std::iota(node_to_level.begin(), node_to_level.end(), 0);
 
-  for (int level = 0; level < opt.max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     auto [comm, gain] = local_move(*level_graph, rng);
     const int k = densify(comm);
     // Project to original nodes.
@@ -207,7 +211,7 @@ CommunityResult detect_communities(const WeightedCsr& g,
       node_to_level[u] = comm[static_cast<std::size_t>(node_to_level[u])];
     }
     const bool shrunk = k < level_graph->num_nodes();
-    if (!shrunk || gain < opt.min_gain) break;
+    if (!shrunk || gain < kMinGain) break;
     aggregated = aggregate(*level_graph, comm, k);
     level_graph = &aggregated;
   }

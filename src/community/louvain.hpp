@@ -21,14 +21,6 @@ struct CommunityResult {
   double modularity = 0.0;
 };
 
-struct LouvainOptions {
-  /// Stop when a full local-move sweep improves Q by less than this.
-  double min_gain = 1e-7;
-  /// Cap on the number of aggregate/local-move rounds.
-  int max_levels = 16;
-  std::uint64_t seed = 1;
-};
-
 /// Newman modularity of `community` over `g`:
 ///   Q = Σ_c [ in_c / (2m) − (tot_c / (2m))² ]
 /// where in_c counts intra-community edge weight (both directions) and
@@ -36,16 +28,17 @@ struct LouvainOptions {
 double modularity(const Graph& g, const std::vector<int>& community);
 double modularity(const WeightedCsr& g, const std::vector<int>& community);
 
-/// Louvain: repeated local moving + graph aggregation. Deterministic for a
-/// fixed seed. Isolated nodes become singleton communities.
-CommunityResult detect_communities(const Graph& g,
-                                   const LouvainOptions& opt = {});
+/// Louvain: repeated local moving + graph aggregation, at most 16 levels,
+/// stopping once a level's local moves gain less than 1e-7 in Q.
+/// Deterministic for a fixed seed. Isolated nodes become singleton
+/// communities.
+CommunityResult detect_communities(const Graph& g, std::uint64_t seed = 1);
 
 /// The same division of an insertion-order CSR of `g`, using the CSR as
 /// level 0 rather than building one. Callers that run Louvain on one
 /// graph many times build the CSR once.
 CommunityResult detect_communities(const WeightedCsr& g,
-                                   const LouvainOptions& opt = {});
+                                   std::uint64_t seed = 1);
 
 /// Convenience: the members of each community, indexed by community id.
 std::vector<std::vector<NodeId>> community_members(

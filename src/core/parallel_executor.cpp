@@ -15,18 +15,13 @@ ParallelExecutor::ParallelExecutor(int num_threads)
 
 ParallelExecutor::~ParallelExecutor() = default;
 
-void ParallelExecutor::for_each_index(
+void ParallelExecutor::run_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (pool_ != nullptr && n > 1) {
     pool_->parallel_for(n, fn);
   } else {
     for (std::size_t i = 0; i < n; ++i) fn(i);
   }
-}
-
-void ParallelExecutor::run_indexed(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  for_each_index(n, fn);
 }
 
 std::vector<IndependentJobResult> ParallelExecutor::run_independent(
@@ -37,7 +32,7 @@ std::vector<IndependentJobResult> ParallelExecutor::run_independent(
   // that can never fit the cloud is a caller error, not an "unplaced" row.
   for (const auto& job : jobs) check_fits_cloud(job, cloud);
   std::vector<IndependentJobResult> results(jobs.size());
-  for_each_index(jobs.size(), [&](std::size_t i) {
+  run_indexed(jobs.size(), [&](std::size_t i) {
     // Private RNG stream and private cloud: the task's result is a pure
     // function of (jobs[i], cloud, seed, i).
     Rng rng(stream_seed(seed, i));

@@ -84,10 +84,6 @@ class ParallelExecutor {
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// Run fn(0) … fn(n-1), on the pool when present, inline otherwise.
-  void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& fn);
-
   int num_threads_;
   std::unique_ptr<ThreadPool> pool_;  // null in serial mode
 };

@@ -550,9 +550,28 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   sweep.push_back(std::move(axis));
 }
 
+/// Ranges of the [cloud] probabilities and purification level, which the
+/// EPR model and the random topology would otherwise reject mid-run.
+void validate_cloud_ranges(const ScenarioSpec& spec) {
+  const CloudConfig& c = spec.cloud.config;
+  if (!(c.epr_success_prob > 0.0 && c.epr_success_prob <= 1.0)) {
+    throw ScenarioError("scenario '" + spec.name +
+                        "': epr_success_prob must be in (0, 1]");
+  }
+  if (!(c.link_probability >= 0.0 && c.link_probability <= 1.0)) {
+    throw ScenarioError("scenario '" + spec.name +
+                        "': link_probability must be in [0, 1]");
+  }
+  if (c.purification_level < 0 || c.purification_level >= 16) {
+    throw ScenarioError("scenario '" + spec.name +
+                        "': purification_level must be in [0, 16)");
+  }
+}
+
 /// Spec-level consistency checks shared by parse_scenario (fail early with
 /// a good message) and run_scenario (programmatically built specs).
 void validate(const ScenarioSpec& spec) {
+  validate_cloud_ranges(spec);
   const ScenarioWorkload& w = spec.workload;
   if (w.source == WorkloadSource::kGenerator && w.circuits.empty()) {
     throw ScenarioError("scenario '" + spec.name +
@@ -685,6 +704,7 @@ void validate(const ScenarioSpec& spec) {
         ScenarioSpec probe = spec;
         probe.sweep.clear();
         apply_sweep_assignment(probe, axis.key, value);
+        validate_cloud_ranges(probe);
       }
     }
   }

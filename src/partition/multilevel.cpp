@@ -284,6 +284,8 @@ PartitionResult partition_graph(const WeightedCsr& g,
   double best_cut = std::numeric_limits<double>::infinity();
   // A few random restarts; keep the best refined result.
   constexpr int kRestarts = 4;
+  // Refinement passes per level, at the coarsest and every finer one.
+  constexpr int kRefinePasses = 8;
   std::vector<std::vector<NodeId>> frontier(static_cast<std::size_t>(k));
   for (auto& fr : frontier) {
     fr.reserve(static_cast<std::size_t>(coarsest.num_nodes()));
@@ -291,7 +293,7 @@ PartitionResult partition_graph(const WeightedCsr& g,
   for (int t = 0; t < kRestarts; ++t) {
     auto cand = grow_initial_partition(coarsest, k, rng, target, frontier);
     internal::refine_partition(coarsest, cand, k, ceiling_for(coarsest),
-                               opt.refine_passes, rng);
+                               kRefinePasses, rng);
     internal::repair_empty_parts(coarsest, cand, k);
     const double cut = edge_cut(coarsest, cand);
     if (cut < best_cut) {
@@ -305,7 +307,7 @@ PartitionResult partition_graph(const WeightedCsr& g,
     part = project(part, coarse[lvl].to_coarse);
     const WeightedCsr& fine = level(lvl);
     internal::refine_partition(fine, part, k, ceiling_for(fine),
-                               opt.refine_passes, rng);
+                               kRefinePasses, rng);
     internal::repair_empty_parts(fine, part, k);
   }
 

@@ -22,8 +22,6 @@ struct PartitionOptions {
   /// Imbalance factor ε: every part's node weight must stay below
   /// (1 + ε) · total_weight / k. The paper sweeps this knob.
   double imbalance = 0.1;
-  /// Refinement passes per uncoarsening level.
-  int refine_passes = 8;
   /// Seed for tie-breaking / seed-node choice; same seed → same partition.
   std::uint64_t seed = 1;
 };

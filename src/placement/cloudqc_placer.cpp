@@ -45,9 +45,7 @@ std::optional<std::vector<QpuId>> select_qpus_by_community(
     std::uint64_t seed, int min_qpus) {
   if (cloud.total_free_computing() < needed_qubits) return std::nullopt;
 
-  LouvainOptions opt;
-  opt.seed = seed;
-  const CommunityResult communities = detect_communities(weighted, opt);
+  const CommunityResult communities = detect_communities(weighted, seed);
   const auto members = community_members(communities);
 
   // Free capacity per community.
@@ -296,11 +294,9 @@ class CloudQcFamilyPlacer final : public Placer {
 
     const int k_min = min_feasible_parts(cloud, n);
     if (k_min == 0) return std::nullopt;
-    const int k_cap = std::min(cloud.num_qpus(), n);
-    const int k_max =
-        opts_.max_extra_parts < 0
-            ? k_cap
-            : std::min(k_cap, k_min + opts_.max_extra_parts);
+    // As in the paper, k sweeps from the minimum feasible count up to one
+    // part per QPU (or per qubit, if there are fewer qubits).
+    const int k_max = std::min(cloud.num_qpus(), n);
 
     // One interaction CSR for the whole imbalance/k sweep: the finest
     // level of every partition, shared with the polish pass's delta-cost
@@ -372,10 +368,9 @@ class CloudQcFamilyPlacer final : public Placer {
         }
       }
     }
-    if (best.has_value() && opts_.polish_passes > 0) {
+    if (best.has_value()) {
       std::vector<QpuId> polished = best->qubit_to_qpu;
-      detail::polish_placement(circuit, cloud, polished, opts_.polish_passes,
-                               rng, &ctx);
+      detail::polish_placement(circuit, cloud, polished, rng, ctx);
       best = finalize_placement(circuit, dag, cloud, std::move(polished),
                                 opts_.alpha, opts_.beta);
     }
@@ -386,8 +381,7 @@ class CloudQcFamilyPlacer final : public Placer {
         ctx.warm_start->size() == static_cast<std::size_t>(n) &&
         placement_fits(cloud, *ctx.warm_start)) {
       std::vector<QpuId> seeded = *ctx.warm_start;
-      detail::polish_placement(circuit, cloud, seeded,
-                               std::max(1, opts_.polish_passes), rng, &ctx);
+      detail::polish_placement(circuit, cloud, seeded, rng, ctx);
       Placement warm = finalize_placement(circuit, dag, cloud,
                                           std::move(seeded), opts_.alpha,
                                           opts_.beta);

@@ -42,14 +42,13 @@ std::optional<std::vector<QpuId>> select_qpus_by_bfs(const QuantumCloud& cloud,
 
 /// Greedy qubit-level polish: hill-climb the communication cost of a
 /// feasible mapping with single-qubit moves and cross-QPU swaps until a
-/// full pass finds no improvement (bounded by `max_passes`). Preserves
+/// full pass finds no improvement (at most 4 passes). Preserves
 /// feasibility. Used by the CloudQC family after Algorithm 2's mapping.
 /// Candidate moves/swaps are scored through the incremental delta-cost
-/// engine; pass `ctx` to reuse a precomputed interaction CSR (nullptr
-/// builds one from the circuit).
+/// engine over `ctx`'s interaction CSR.
 void polish_placement(const Circuit& circuit, const QuantumCloud& cloud,
-                      std::vector<QpuId>& qubit_to_qpu, int max_passes,
-                      Rng& rng, const PlacementContext* ctx = nullptr);
+                      std::vector<QpuId>& qubit_to_qpu, Rng& rng,
+                      const PlacementContext& ctx);
 
 /// Candidate-set centres (graph_center_of on the cloud topology) already
 /// computed for one cloud, keyed on the candidate vector *in order*:

@@ -46,20 +46,16 @@ struct Placement {
 /// deterministic.
 bool better_placement(const Placement& a, const Placement& b);
 
+/// The paper's parameters of the CloudQC family. The rest of Algorithms
+/// 1–2 is fixed: k sweeps from the fewest feasible parts up to
+/// min(QPUs, qubits), and the winning placement gets at most 4 polish
+/// passes.
 struct PlacerOptions {
   /// Imbalance-factor sweep for graph partitioning (Algorithm 1 input).
   std::vector<double> imbalance_factors{0.05, 0.15, 0.3, 0.5};
   /// Scoring weights: score = alpha / T + beta / C.
   double alpha = 0.5;
   double beta = 0.5;
-  /// Cap on partition counts tried per imbalance factor (k sweeps from the
-  /// minimum feasible up to this many extra parts; <0 means "up to the
-  /// number of QPUs" as in the paper).
-  int max_extra_parts = -1;
-  /// Qubit-level local-search passes applied to the winning placement
-  /// (0 disables). Cleans up boundary qubits that partition-granularity
-  /// mapping placed one QPU off.
-  int polish_passes = 4;
   /// The ε of Inequation 6: candidate placements where any QPU is touched
   /// by more than this many remote operations are rejected (they would
   /// bottleneck that QPU's communication qubits). 0 = unconstrained.

@@ -18,20 +18,19 @@
 namespace cloudqc::detail {
 
 void polish_placement(const Circuit& circuit, const QuantumCloud& cloud,
-                      std::vector<QpuId>& qubit_to_qpu, int max_passes,
-                      Rng& rng, const PlacementContext* ctx) {
+                      std::vector<QpuId>& qubit_to_qpu, Rng& rng,
+                      const PlacementContext& ctx) {
+  // Passes are capped; most placements stop improving well before that.
+  constexpr int kMaxPasses = 4;
   const int n = circuit.num_qubits();
-  if (n == 0 || max_passes <= 0) return;
-  IncrementalCostModel model =
-      (ctx != nullptr && ctx->csr != nullptr)
-          ? IncrementalCostModel(ctx->csr, cloud)
-          : IncrementalCostModel(circuit, cloud);
+  if (n == 0) return;
+  IncrementalCostModel model(ctx.csr, cloud);
   model.reset(qubit_to_qpu);
 
   std::vector<NodeId> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
 
-  for (int pass = 0; pass < max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool improved = false;
     rng.shuffle(order);
 

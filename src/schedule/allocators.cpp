@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/check.hpp"
-
 namespace cloudqc {
 namespace {
 
@@ -59,11 +57,6 @@ std::vector<std::size_t> by_priority(const std::vector<CommRequest>& requests) {
 
 class CloudQcAllocator final : public CommAllocator {
  public:
-  explicit CloudQcAllocator(int max_redundancy)
-      : max_redundancy_(max_redundancy) {
-    CLOUDQC_CHECK(max_redundancy >= 1);
-  }
-
   std::string name() const override { return "CloudQC"; }
 
   std::vector<int> allocate(const std::vector<CommRequest>& requests,
@@ -102,13 +95,11 @@ class CloudQcAllocator final : public CommAllocator {
       return (requests[i].priority + 1.0) / pairs[i];
     };
     std::vector<Candidate> heap;
-    if (max_redundancy_ > 1) {
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        const std::size_t i = order[pos];
-        if (pairs[i] == 1 && can_take(requests[i], free_comm) &&
-            score(i) > -1.0) {
-          heap.push_back({score(i), pos});
-        }
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const std::size_t i = order[pos];
+      if (pairs[i] == 1 && can_take(requests[i], free_comm) &&
+          score(i) > -1.0) {
+        heap.push_back({score(i), pos});
       }
     }
     std::make_heap(heap.begin(), heap.end(), below);
@@ -120,16 +111,11 @@ class CloudQcAllocator final : public CommAllocator {
       if (!can_take(requests[i], free_comm)) continue;
       take(requests[i], free_comm);
       ++pairs[i];
-      if (pairs[i] < max_redundancy_) {
-        heap.push_back({score(i), pos});
-        std::push_heap(heap.begin(), heap.end(), below);
-      }
+      heap.push_back({score(i), pos});
+      std::push_heap(heap.begin(), heap.end(), below);
     }
     return pairs;
   }
-
- private:
-  int max_redundancy_;
 };
 
 class GreedyAllocator final : public CommAllocator {
@@ -201,8 +187,8 @@ class RandomAllocator final : public CommAllocator {
 
 }  // namespace
 
-std::unique_ptr<CommAllocator> make_cloudqc_allocator(int max_redundancy) {
-  return std::make_unique<CloudQcAllocator>(max_redundancy);
+std::unique_ptr<CommAllocator> make_cloudqc_allocator() {
+  return std::make_unique<CloudQcAllocator>();
 }
 std::unique_ptr<CommAllocator> make_greedy_allocator() {
   return std::make_unique<GreedyAllocator>();

@@ -63,10 +63,9 @@ class CommAllocator {
 /// pair at a time to the request with the highest priority-per-pair ratio
 /// (priority + 1) / pairs, ties going to the request earlier in priority
 /// order (proportionally fair redundancy — critical gates get the most
-/// failure tolerance). `max_redundancy` caps pairs per op; the default is
-/// effectively uncapped.
-std::unique_ptr<CommAllocator> make_cloudqc_allocator(
-    int max_redundancy = 1 << 20);
+/// failure tolerance). Pairs per op are bounded only by the free
+/// communication qubits.
+std::unique_ptr<CommAllocator> make_cloudqc_allocator();
 
 /// Greedy: the highest-priority request takes as much as it can, then the
 /// next, and so on.

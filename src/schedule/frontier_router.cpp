@@ -6,19 +6,6 @@
 #include "common/check.hpp"
 
 namespace cloudqc {
-namespace {
-
-// Switch a level to bottom-up when the frontier holds more than 1/4 of the
-// still-unclaimed nodes: scanning the unclaimed set against a frontier
-// bitmap is then cheaper than expanding the frontier's edge lists (the
-// Beamer direction-switching heuristic, on node counts — our QPU graphs
-// are small enough that edge-count bookkeeping buys nothing). The choice
-// is a pure function of the two counters, so the traversal stays
-// deterministic; both directions produce the identical next frontier and
-// parents (see the equivalence note at sweep_locked).
-constexpr std::int64_t kDenseSwitchFactor = 4;
-
-}  // namespace
 
 void FrontierRouter::bind_topology_locked(const Graph& topo) const {
   if (topo_ == &topo && topo_nodes_ == topo.num_nodes() &&
@@ -32,7 +19,6 @@ void FrontierRouter::bind_topology_locked(const Graph& topo) const {
   mask_ = NodeBitmap(topo_nodes_);
   fresh_mask_ = NodeBitmap(topo_nodes_);
   last_free_comm_.clear();
-  frontier_bits_ = NodeBitmap(topo_nodes_);
   trees_.assign(static_cast<std::size_t>(topo_nodes_), Tree{});
   ++stats_.csr_rebuilds;
 }
@@ -55,17 +41,10 @@ void FrontierRouter::refresh_mask_locked(
 
 // Level-synchronous BFS from `src` under the current saturation bitmap.
 //
-// Tie-break equivalence of the two directions (both must equal the per-op
-// reference's "lowest-indexed neighbour in the previous level" parents):
-//   * top-down iterates the frontier in ascending id and each member's
-//     CSR neighbours in ascending id, so an unclaimed v is claimed by the
-//     first — i.e. lowest-id — frontier member adjacent to it;
-//   * bottom-up scans unclaimed v in ascending id and takes v's first
-//     CSR neighbour that tests into the frontier bitmap — the same
-//     lowest-id frontier member.
-// Both directions append newly claimed expandable nodes so that the next
-// frontier, once sorted (bottom-up emits it sorted for free), is the same
-// ascending array either way.
+// Each level iterates the frontier in ascending id and each member's CSR
+// neighbours in ascending id, so an unclaimed v is claimed by the first —
+// i.e. lowest-id — frontier member adjacent to it: the per-op reference's
+// "lowest-indexed neighbour in the previous level" parent.
 void FrontierRouter::sweep_locked(QpuId src) const {
   const NodeId n = topo_nodes_;
   Tree& t = trees_[static_cast<std::size_t>(src)];
@@ -79,53 +58,27 @@ void FrontierRouter::sweep_locked(QpuId src) const {
   frontier_.push_back(src);
   t.dist[static_cast<std::size_t>(src)] = 0;
   t.touched.set(src);
-  std::int64_t unclaimed = n - 1;
   std::int32_t level = 0;
   ++stats_.sweeps;
 
   while (!frontier_.empty()) {
     ++level;
     next_.clear();
-    const bool bottom_up =
-        static_cast<std::int64_t>(frontier_.size()) * kDenseSwitchFactor >
-        unclaimed;
-    if (bottom_up) {
-      ++stats_.bottom_up_levels;
-      frontier_bits_.clear_all();
-      for (const NodeId u : frontier_) frontier_bits_.set(u);
-      for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : frontier_) {
+      for (std::size_t i = csr_.begin(u); i < csr_.end(u); ++i) {
+        const NodeId v = csr_.to(i);
         if (t.dist[static_cast<std::size_t>(v)] != -1) continue;
-        for (std::size_t i = csr_.begin(v); i < csr_.end(v); ++i) {
-          const NodeId u = csr_.to(i);
-          if (!frontier_bits_.test(u)) continue;
-          t.dist[static_cast<std::size_t>(v)] = level;
-          t.parent[static_cast<std::size_t>(v)] = u;
-          t.touched.set(v);
-          --unclaimed;
-          // Saturated nodes are claimed (a path may *end* there — the
-          // destination exemption) but never expanded (no path transits).
-          if (!mask_.test(v)) next_.push_back(v);
-          break;
-        }
+        t.dist[static_cast<std::size_t>(v)] = level;
+        t.parent[static_cast<std::size_t>(v)] = u;
+        t.touched.set(v);
+        // Saturated nodes are claimed (a path may *end* there — the
+        // destination exemption) but never expanded (no path transits).
+        if (!mask_.test(v)) next_.push_back(v);
       }
-      // Ascending v scan: next_ is already sorted.
-    } else {
-      ++stats_.top_down_levels;
-      for (const NodeId u : frontier_) {
-        for (std::size_t i = csr_.begin(u); i < csr_.end(u); ++i) {
-          const NodeId v = csr_.to(i);
-          if (t.dist[static_cast<std::size_t>(v)] != -1) continue;
-          t.dist[static_cast<std::size_t>(v)] = level;
-          t.parent[static_cast<std::size_t>(v)] = u;
-          t.touched.set(v);
-          --unclaimed;
-          if (!mask_.test(v)) next_.push_back(v);
-        }
-      }
-      // Claims arrive in (frontier-rank, neighbour-id) order, which is
-      // not globally ascending past the first level.
-      std::sort(next_.begin(), next_.end());
     }
+    // Claims arrive in (frontier-rank, neighbour-id) order, which is not
+    // globally ascending past the first level.
+    std::sort(next_.begin(), next_.end());
     frontier_.swap(next_);
   }
 }

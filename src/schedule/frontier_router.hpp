@@ -12,9 +12,11 @@
 //     the previous call's (one vector compare otherwise, no allocation
 //     either way), so route() stays a pure function of its arguments no
 //     matter what the cache holds;
-//   * top-down/bottom-up direction switching keyed on frontier density
-//     (dense levels scan unvisited nodes against a frontier bitmap
-//     instead of expanding frontier edge lists);
+//   * sweep scratch (frontier and next-level vectors) kept allocated
+//     across sweeps; every level is expanded top-down. PaperWasp's
+//     bottom-up direction switch pays on very large graphs, but on the
+//     127-QPU fat-tree it chose under 2% of levels and the sweep ran no
+//     faster with it;
 //   * incremental invalidation: each tree remembers the saturation bitmap
 //     it swept under and the region it touched; it is reused verbatim
 //     while the *current* saturation state agrees with that snapshot over
@@ -57,8 +59,6 @@ class FrontierRouter final : public EprRouter {
     std::uint64_t route_calls = 0;
     std::uint64_t tree_hits = 0;    // query served from a cached tree
     std::uint64_t sweeps = 0;       // full BFS sweeps run
-    std::uint64_t top_down_levels = 0;
-    std::uint64_t bottom_up_levels = 0;
     std::uint64_t mask_changes = 0;  // saturation bitmap differed from last
     std::uint64_t csr_rebuilds = 0;  // topology snapshot rebuilt
   };
@@ -96,7 +96,6 @@ class FrontierRouter final : public EprRouter {
   // Sweep scratch (guarded by mu_ like everything else).
   mutable std::vector<NodeId> frontier_;
   mutable std::vector<NodeId> next_;
-  mutable NodeBitmap frontier_bits_;
   mutable Stats stats_;
 };
 

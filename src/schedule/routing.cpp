@@ -68,11 +68,6 @@ class ShortestPathRouter final : public EprRouter {
 
 class CongestionAwareRouter final : public EprRouter {
  public:
-  explicit CongestionAwareRouter(int max_extra_hops)
-      : max_extra_hops_(max_extra_hops) {
-    CLOUDQC_CHECK(max_extra_hops >= 0);
-  }
-
   std::string name() const override { return "congestion-aware"; }
 
   std::optional<EprPath> route(const QuantumCloud& cloud, QpuId src, QpuId dst,
@@ -96,7 +91,7 @@ class CongestionAwareRouter final : public EprRouter {
     if (!direct.has_value()) return std::nullopt;  // disconnected
     const auto unblocked = bfs_path(topo, src, dst, &blocked);
     if (!unblocked.has_value() ||
-        unblocked->hops() > direct->hops() + max_extra_hops_) {
+        unblocked->hops() > direct->hops() + kMaxExtraHops) {
       // Every viable detour is too long: queue on the plain shortest path
       // (EPR success decays as p^hops, so a long detour costs more than
       // waiting for the hot QPU to free up).
@@ -133,7 +128,8 @@ class CongestionAwareRouter final : public EprRouter {
     return load;
   }
 
-  int max_extra_hops_;
+  // Longest detour taken, in hops beyond the minimum.
+  static constexpr int kMaxExtraHops = 2;
 };
 
 // The canonical masked-shortest-path policy, computed fresh per call with
@@ -203,8 +199,8 @@ std::unique_ptr<EprRouter> make_shortest_path_router() {
   return std::make_unique<ShortestPathRouter>();
 }
 
-std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops) {
-  return std::make_unique<CongestionAwareRouter>(max_extra_hops);
+std::unique_ptr<EprRouter> make_congestion_aware_router() {
+  return std::make_unique<CongestionAwareRouter>();
 }
 
 std::unique_ptr<EprRouter> make_masked_shortest_router() {

@@ -61,11 +61,11 @@ std::unique_ptr<EprRouter> make_shortest_path_router();
 /// Congestion-aware: among *minimal-hop* paths, picks the one whose
 /// intermediate QPUs are least loaded. Longer detours are taken only when
 /// every shorter path has a saturated (zero-free) swap node, and never more
-/// than `max_extra_hops` beyond the minimum — EPR success decays as p^hops,
-/// so a detour costs exponentially more generation rounds and is only worth
-/// it to avoid outright blocking. Falls back to the plain shortest path
-/// when every alternative is saturated.
-std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
+/// than 2 hops beyond the minimum — EPR success decays as p^hops, so a
+/// detour costs exponentially more generation rounds and is only worth it
+/// to avoid outright blocking. Falls back to the plain shortest path when
+/// every alternative is saturated.
+std::unique_ptr<EprRouter> make_congestion_aware_router();
 
 /// Masked shortest path — the "frontier" routing policy, per-operation
 /// reference implementation. The path is the hop-shortest one that never

@@ -34,7 +34,7 @@ void expect_within_budget(const std::vector<CommRequest>& requests,
 }
 
 TEST(CloudQcAllocator, EveryoneGetsOneBeforeRedundancy) {
-  const auto alloc = make_cloudqc_allocator(3);
+  const auto alloc = make_cloudqc_allocator();
   Rng rng(1);
   // Two ops sharing QPU 0, which has 3 comm qubits.
   const std::vector<CommRequest> rs{req(5, 0, 1), req(1, 0, 2)};
@@ -45,21 +45,13 @@ TEST(CloudQcAllocator, EveryoneGetsOneBeforeRedundancy) {
 }
 
 TEST(CloudQcAllocator, RedundancyGoesToHighestPriority) {
-  const auto alloc = make_cloudqc_allocator(3);
+  const auto alloc = make_cloudqc_allocator();
   Rng rng(1);
   const std::vector<CommRequest> rs{req(9, 0, 1), req(1, 0, 2)};
   const auto pairs = alloc->allocate(rs, {4, 5, 5}, rng);
   // QPU 0 budget 4: 1+1 in pass one, remaining 2 → priority-9 op.
   EXPECT_EQ(pairs[0], 3);
   EXPECT_EQ(pairs[1], 1);
-}
-
-TEST(CloudQcAllocator, RespectsRedundancyCap) {
-  const auto alloc = make_cloudqc_allocator(2);
-  Rng rng(1);
-  const std::vector<CommRequest> rs{req(9, 0, 1)};
-  const auto pairs = alloc->allocate(rs, {10, 10}, rng);
-  EXPECT_EQ(pairs[0], 2);
 }
 
 TEST(CloudQcAllocator, ZeroWhenNoBudget) {
@@ -196,7 +188,7 @@ std::vector<std::size_t> by_priority(const std::vector<CommRequest>& requests) {
 }
 
 std::vector<int> cloudqc(const std::vector<CommRequest>& requests,
-                         std::vector<int> free_comm, int max_redundancy) {
+                         std::vector<int> free_comm) {
   std::vector<int> pairs(requests.size(), 0);
   const auto order = by_priority(requests);
   for (const std::size_t i : order) {
@@ -209,7 +201,7 @@ std::vector<int> cloudqc(const std::vector<CommRequest>& requests,
     double best_score = -1.0;
     std::size_t best = requests.size();
     for (const std::size_t i : order) {
-      if (pairs[i] == 0 || pairs[i] >= max_redundancy) continue;
+      if (pairs[i] == 0) continue;
       if (!can_take(requests[i], free_comm)) continue;
       const double score = (requests[i].priority + 1.0) / pairs[i];
       if (score > best_score) {
@@ -262,10 +254,7 @@ double priority(int family, std::size_t n, Rng& rng) {
 }  // namespace reference
 
 TEST(AllocatorDifferential, CloudQcAndGreedyMatchReference) {
-  const std::unique_ptr<CommAllocator> cloudqc_uncapped =
-      make_cloudqc_allocator();
-  const std::unique_ptr<CommAllocator> cloudqc_cap1 = make_cloudqc_allocator(1);
-  const std::unique_ptr<CommAllocator> cloudqc_cap2 = make_cloudqc_allocator(2);
+  const std::unique_ptr<CommAllocator> cloudqc = make_cloudqc_allocator();
   const std::unique_ptr<CommAllocator> greedy = make_greedy_allocator();
   Rng rng(0xD1FF);
   for (int trial = 0; trial < 600; ++trial) {
@@ -289,12 +278,8 @@ TEST(AllocatorDifferential, CloudQcAndGreedyMatchReference) {
       const int f = mixed ? static_cast<int>(rng.below(6)) : family;
       rs.push_back(req(reference::priority(f, n, rng), a, b));
     }
-    EXPECT_EQ(cloudqc_uncapped->allocate(rs, budget, rng),
-              reference::cloudqc(rs, budget, 1 << 20));
-    EXPECT_EQ(cloudqc_cap1->allocate(rs, budget, rng),
-              reference::cloudqc(rs, budget, 1));
-    EXPECT_EQ(cloudqc_cap2->allocate(rs, budget, rng),
-              reference::cloudqc(rs, budget, 2));
+    EXPECT_EQ(cloudqc->allocate(rs, budget, rng),
+              reference::cloudqc(rs, budget));
     EXPECT_EQ(greedy->allocate(rs, budget, rng),
               reference::greedy(rs, budget));
   }

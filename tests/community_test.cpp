@@ -91,10 +91,8 @@ TEST(Louvain, IsolatedNodesBecomeSingletons) {
 TEST(Louvain, DeterministicForSeed) {
   Rng rng(17);
   const Graph g = random_topology(40, 0.15, rng);
-  LouvainOptions opt;
-  opt.seed = 7;
-  const auto a = detect_communities(g, opt);
-  const auto b = detect_communities(g, opt);
+  const auto a = detect_communities(g, 7);
+  const auto b = detect_communities(g, 7);
   EXPECT_EQ(a.community, b.community);
 }
 

@@ -10,6 +10,7 @@
 #include "partition/partitioner.hpp"
 #include "placement/cost.hpp"
 #include "placement/detail.hpp"
+#include "placement/incremental_cost.hpp"
 #include "placement/placement.hpp"
 #include "test_doubles.hpp"
 
@@ -445,7 +446,8 @@ TEST(Polish, NeverWorsensCost) {
     const auto rough = make_random_placer()->place(c, cloud, rng);
     ASSERT_TRUE(rough.has_value());
     std::vector<QpuId> map = rough->qubit_to_qpu;
-    detail::polish_placement(c, cloud, map, 4, rng);
+    detail::polish_placement(c, cloud, map, rng,
+                             PlacementContext::for_circuit(c));
     EXPECT_TRUE(placement_fits(cloud, map)) << name;
     EXPECT_LE(placement_comm_cost(c, cloud, map), rough->comm_cost) << name;
   }
@@ -462,7 +464,8 @@ TEST(Polish, FindsObviousImprovement) {
   for (int i = 0; i < 4; ++i) c.cx(0, 1);
   std::vector<QpuId> map{0, 1};
   Rng rng(1);
-  detail::polish_placement(c, cloud, map, 4, rng);
+  detail::polish_placement(c, cloud, map, rng,
+                           PlacementContext::for_circuit(c));
   EXPECT_EQ(map[0], map[1]);  // co-located: cost 0
 }
 

