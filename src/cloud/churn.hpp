@@ -81,8 +81,6 @@ struct ChurnPlan {
   std::vector<ChurnEvent> events;
   double drift_amplitude = 0.0;
   double drift_period = 1000.0;
-
-  bool has_events() const { return !events.empty(); }
 };
 
 /// Expand a spec into its event timeline for a cloud of `num_qpus`

@@ -60,7 +60,7 @@ class JobLifecycle {
         settings_(settings),
         churn_(settings.churn),
         rng_(options.seed),
-        sim_(cloud, allocator, rng_.fork()),
+        sim_(cloud, allocator, rng_.fork(), options.router),
         gate_(settings.max_pending, options.gated_admission),
         fenced_(static_cast<std::size_t>(cloud.num_qpus()), 0),
         shard_metrics_(settings.intake_shards),
@@ -145,6 +145,8 @@ class JobLifecycle {
     for (const StreamingMetrics& m : shard_metrics_) total.merge(m);
     total.peak_pending = peak_queued_;
     total.peak_in_flight = peak_in_flight_;
+    total.events_processed = sim_.num_events_processed();
+    total.allocation_rounds = sim_.num_allocation_rounds();
     return total;
   }
 
@@ -223,6 +225,7 @@ class JobLifecycle {
     s.arrival = job.arrival;
     s.placed_time = sim_.now();
     s.remote_ops = placement->remote_ops;
+    s.comm_cost = placement->comm_cost;
     s.qpus_used = placement->num_qpus_used();
     s.restarts = job.restarts;
     flight.job = std::move(job);

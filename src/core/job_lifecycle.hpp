@@ -1,11 +1,11 @@
 // The job lifecycle shared by every queue engine (run_batch, run_incoming,
-// run_streaming): a pull intake, one ordered queue of arrived-but-unplaced
-// jobs, the admission walk over it, the in-flight reservations, churn
-// fencing, preemption and the single event/arrival/churn loop that drives
-// the NetworkSimulator. This is the paper's control loop (Sec. V-B): the
-// batch manager or the FIFO intake orders jobs, the placer admits a job
-// when capacity allows, and the network scheduler runs every admitted job
-// on the shared cloud.
+// run_streaming and the scenario engine's network_sim mode): a pull
+// intake, one ordered queue of arrived-but-unplaced jobs, the admission
+// walk over it, the in-flight reservations, churn fencing, preemption and
+// the single event/arrival/churn loop that drives the NetworkSimulator.
+// This is the paper's control loop (Sec. V-B): the batch manager or the
+// FIFO intake orders jobs, the placer admits a job when capacity allows,
+// and the network scheduler runs every admitted job on the shared cloud.
 //
 // The engines are thin adaptors that differ only in their
 // LifecycleSettings and their source:
@@ -16,7 +16,10 @@
 //                   pending set, one shard, tenant classes, churn, a
 //                   per-job table, and the throw policy;
 //   run_batch     — run_incoming with every job arriving at t = 0 in
-//                   batch-manager order.
+//                   batch-manager order;
+//   network_sim   — (core/scenario.cpp) the scenario's job list, all at
+//                   t = 0 in list order, through an EprRouter, with a
+//                   per-job table and the throw policy.
 //
 // Queue order: jobs are kept sorted by (shard, priority desc, id), where
 // the id is the submission index (the trace index; for run_batch the
@@ -46,6 +49,7 @@
 
 namespace cloudqc {
 
+class EprRouter;
 class PlacementCache;
 struct ChurnPlan;
 
@@ -69,6 +73,10 @@ struct EngineOptions {
   /// owns the cache so it can persist across runs and read stats; it must
   /// only be shared across *serial* runs against the same cloud topology.
   PlacementCache* cache = nullptr;
+  /// EPR-path router handed to the simulator (not owned; see
+  /// schedule/routing.hpp). Null keeps the static hop model. Not
+  /// supported together with churn (NetworkSimulator::set_qpu_offline).
+  const EprRouter* router = nullptr;
 };
 
 /// Tenant-class attributes of one job in a shared-cloud engine run
@@ -82,8 +90,9 @@ struct JobClass {
   bool preempt = false;
 };
 
-/// Per-job outcome of one batch or incoming run. Times are simulation time
-/// units (CX-gate durations); batch jobs all arrive at t = 0.
+/// Per-job outcome of one shared-cloud run (batch, incoming, network_sim).
+/// Times are simulation time units (CX-gate durations); batch and
+/// network_sim jobs all arrive at t = 0.
 struct JobStats {
   std::string name;
   SimTime arrival = 0.0;
@@ -95,12 +104,15 @@ struct JobStats {
   double jct() const { return completion_time - arrival; }
   /// 2-qubit gates whose endpoints landed on different QPUs.
   std::size_t remote_ops = 0;
+  /// Communication cost of the admitted placement (paper Obj. 1).
+  double comm_cost = 0.0;
   /// Distinct QPUs the placement spans.
   int qpus_used = 0;
   /// First-order output-fidelity estimate (see FidelityModel).
   double est_fidelity = 1.0;
   /// Times the job was displaced (churn) or preempted and re-run from
-  /// scratch; placed_time/remote_ops/qpus_used describe the final run.
+  /// scratch; placed_time/remote_ops/comm_cost/qpus_used describe the
+  /// final run.
   int restarts = 0;
 };
 
@@ -137,7 +149,7 @@ struct StreamingProgress {
 /// cloud's total capacity, or one that failed a forced attempt against an
 /// idle cloud with nothing left that could change capacity.
 enum class UnplaceablePolicy {
-  kThrow,  ///< std::logic_error (batch and incoming engines)
+  kThrow,  ///< std::logic_error (batch, incoming and network_sim)
   kDrop,   ///< count it as rejected and go on (streaming)
 };
 
@@ -168,7 +180,8 @@ struct LifecycleSettings {
 
 /// Drain `source` through the lifecycle until every job has completed or
 /// been dropped, and return the folded metrics (shard folds merged in
-/// shard order, plus the queue and in-flight high-water marks). Every
+/// shard order, plus the queue and in-flight high-water marks and the
+/// simulator's event and allocation-round counts). Every
 /// reservation and churn fence is released before returning — also when
 /// the run throws — so the caller's cloud is restored however it ended.
 StreamingMetrics run_lifecycle(JobSource& source, QuantumCloud& cloud,

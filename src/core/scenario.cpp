@@ -9,7 +9,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "circuit/qasm.hpp"
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
-#include "common/check.hpp"
 #include "common/enum_names.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
@@ -34,7 +32,6 @@
 #include "schedule/allocators.hpp"
 #include "schedule/frontier_router.hpp"
 #include "schedule/routing.hpp"
-#include "sim/network_sim.hpp"
 
 namespace cloudqc {
 
@@ -550,9 +547,20 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   sweep.push_back(std::move(axis));
 }
 
-/// Ranges of the [cloud] probabilities and purification level, which the
-/// EPR model and the random topology would otherwise reject mid-run.
+/// Largest accepted [cloud] num_qpus. The cloud's hop matrix holds
+/// num_qpus² ints (64 MiB at 4096), so far larger values run out of memory
+/// or time before any output; the committed specs use at most 31 QPUs and
+/// the largest cloud anywhere in the repo has 127.
+constexpr int kMaxQpus = 4096;
+
+/// Ranges of the [cloud] size, probabilities and purification level, which
+/// the cloud builder, the EPR model and the random topology would otherwise
+/// reject (or choke on) mid-run.
 void validate_cloud_ranges(const ScenarioSpec& spec) {
+  if (spec.cloud.num_qpus > kMaxQpus) {
+    throw ScenarioError("scenario '" + spec.name + "': num_qpus must be <= " +
+                        std::to_string(kMaxQpus));
+  }
   const CloudConfig& c = spec.cloud.config;
   if (!(c.epr_success_prob > 0.0 && c.epr_success_prob <= 1.0)) {
     throw ScenarioError("scenario '" + spec.name +
@@ -599,8 +607,9 @@ void validate(const ScenarioSpec& spec) {
   }
   if (spec.engine.router != RouterKind::kNone &&
       spec.engine.mode != EngineMode::kNetworkSim) {
-    // Loud rather than silently ignored: only the network-sim engine
-    // threads a router into the simulator.
+    // Loud rather than silently ignored: only network_sim hands the router
+    // to the core, and churn cannot meet one (a routed path could transit
+    // an offline QPU; NetworkSimulator::set_qpu_offline CHECKs that).
     throw ScenarioError("scenario '" + spec.name +
                         "': router requires mode = network_sim");
   }
@@ -930,50 +939,6 @@ void finalize_metrics(ScenarioResult& result) {
   }
 }
 
-/// Shared-simulator engine: place everything up front against the idle
-/// cloud, admit all placed jobs at t = 0, drain. The only engine that
-/// consults a router. RNG discipline (documented for hand-wiring parity):
-///   Rng rng(seed); NetworkSimulator sim(cloud, alloc, rng.fork(), router);
-///   then one placer.place(job, cloud, rng) per job in list order.
-void run_network_sim(const ScenarioSpec& spec,
-                     const std::vector<Circuit>& jobs, QuantumCloud& cloud,
-                     const Placer& placer, const CommAllocator& allocator,
-                     PlacementCache* cache, ScenarioResult& result) {
-  const ScenarioEngine& eng = spec.engine;
-  const std::unique_ptr<EprRouter> router = make_router(eng.router);
-  Rng rng(eng.seed);
-  NetworkSimulator sim(cloud, allocator, rng.fork(), router.get());
-  sim.set_change_gated(eng.gated_allocation);
-  // The oversize rule of every engine, before any placement draws.
-  for (const Circuit& job : jobs) check_fits_cloud(job, cloud);
-  std::map<int, std::size_t> sim_to_job;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ScenarioJobResult& job = result.jobs[i];
-    job.name = jobs[i].name();
-    // Serial admission loop: consulting the cache here is deterministic
-    // (cache == nullptr is exactly the pre-cache placer.place path).
-    const auto placement = cached_place(cache, jobs[i], cloud, placer, rng);
-    if (!placement.has_value()) {
-      job.placed = false;
-      continue;
-    }
-    CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-    sim_to_job[sim.add_job(jobs[i], placement->qubit_to_qpu)] = i;
-    job.remote_ops = placement->remote_ops;
-    job.comm_cost = placement->comm_cost;
-    job.qpus_used = placement->num_qpus_used();
-  }
-  for (const JobCompletion& completion : sim.run_to_completion()) {
-    const auto entry = sim_to_job.find(completion.job);
-    CLOUDQC_CHECK(entry != sim_to_job.end());
-    ScenarioJobResult& job = result.jobs[entry->second];
-    job.completion_time = completion.time;
-    job.est_fidelity = completion.est_fidelity;
-  }
-  result.events_processed = sim.num_events_processed();
-  result.allocation_rounds = sim.num_allocation_rounds();
-}
-
 }  // namespace
 
 ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
@@ -1162,13 +1127,15 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       break;
     }
     case EngineMode::kMultiTenant:
-    case EngineMode::kIncoming: {
+    case EngineMode::kIncoming:
+    case EngineMode::kNetworkSim: {
       std::vector<ArrivingJob> trace = drain(*build_source(spec.workload));
       std::vector<int> tenant_of;
       if (!spec.tenants.empty()) {
         tenant_of = assign_tenants(spec.tenants, trace.size(),
                                    spec.workload.trace_seed);
       }
+      const std::unique_ptr<EprRouter> router = make_router(spec.engine.router);
       // The batch engine's options are the incoming engine's plus the
       // batch order, which run_incoming does not read.
       MultiTenantOptions options;
@@ -1176,38 +1143,39 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       options.gated_admission = spec.engine.gated_admission;
       options.gated_allocation = spec.engine.gated_allocation;
       options.cache = cache.get();
+      options.router = router.get();
       options.churn = churn_on ? &churn_plan : nullptr;
       if (!tenant_of.empty()) {
         options.classes = classes_for(spec.tenants, tenant_of);
       }
       options.fifo = spec.engine.fifo;
-      const std::vector<JobStats> stats =
-          spec.engine.mode == EngineMode::kMultiTenant
-              ? run_batch(strip_arrivals(std::move(trace)), cloud, counting,
-                          *allocator, options)
-              : run_incoming(std::move(trace), cloud, counting, *allocator,
+      std::vector<JobStats> stats;
+      if (spec.engine.mode == EngineMode::kMultiTenant) {
+        stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
+                          *allocator, options);
+      } else if (spec.engine.mode == EngineMode::kIncoming) {
+        stats = run_incoming(std::move(trace), cloud, counting, *allocator,
                              options);
-      result.jobs.resize(stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        ScenarioJobResult& job = result.jobs[i];
-        job.name = stats[i].name;
-        job.arrival = stats[i].arrival;
-        job.placed_time = stats[i].placed_time;
-        job.completion_time = stats[i].completion_time;
-        job.remote_ops = stats[i].remote_ops;
-        job.qpus_used = stats[i].qpus_used;
-        job.est_fidelity = stats[i].est_fidelity;
-        job.restarts = stats[i].restarts;
-        if (!tenant_of.empty()) job.tenant = tenant_of[i];
+      } else {
+        // Every job arrives at t = 0 in list order and is admitted as
+        // capacity allows: the FIFO shared-cloud loop with a router. Called
+        // directly (not via run_incoming) for the simulator counters.
+        for (ArrivingJob& job : trace) job.arrival = 0.0;
+        stats.resize(trace.size());
+        LifecycleSettings settings;
+        settings.table = &stats;
+        const std::unique_ptr<JobSource> source =
+            make_vector_source(std::move(trace));
+        const StreamingMetrics metrics = run_lifecycle(
+            *source, cloud, counting, *allocator, options, settings);
+        result.events_processed = metrics.events_processed;
+        result.allocation_rounds = metrics.allocation_rounds;
       }
-      break;
-    }
-    case EngineMode::kNetworkSim: {
-      const std::vector<Circuit> jobs =
-          strip_arrivals(drain(*build_source(spec.workload)));
-      result.jobs.resize(jobs.size());
-      run_network_sim(spec, jobs, cloud, counting, *allocator, cache.get(),
-                      result);
+      result.jobs.reserve(stats.size());
+      for (std::size_t i = 0; i < stats.size(); ++i) {
+        result.jobs.push_back({std::move(stats[i]), /*placed=*/true,
+                               tenant_of.empty() ? -1 : tenant_of[i]});
+      }
       break;
     }
     case EngineMode::kStreaming: {

@@ -22,6 +22,7 @@
 
 #include "cloud/churn.hpp"
 #include "cloud/topologies.hpp"
+#include "core/job_lifecycle.hpp"
 #include "core/streaming.hpp"
 
 namespace cloudqc {
@@ -51,7 +52,7 @@ enum class EngineMode {
   kBatch,        ///< ParallelExecutor::run_independent (private clouds)
   kMultiTenant,  ///< run_batch: shared cloud, batch-manager admission
   kIncoming,     ///< run_incoming: arrival trace, FIFO + HoL skipping
-  kNetworkSim,   ///< place all jobs up front, one shared NetworkSimulator
+  kNetworkSim,   ///< the lifecycle core with a router, all jobs at t = 0
   kStreaming,    ///< run_streaming: bounded-memory stream, aggregates only
 };
 
@@ -61,12 +62,13 @@ enum class PlacerKind { kCloudQC, kBfs, kRandom, kAnnealing, kGenetic, kRace };
 /// Communication-qubit allocator selector (schedule/allocators.hpp).
 enum class AllocatorKind { kCloudQC, kGreedy, kAverage, kRandom };
 
-/// EPR-path router selector (schedule/routing.hpp). Only the network-sim
-/// engine consults it; kNone uses the static hop model. kMasked and
-/// kFrontier compute the same masked-shortest-path policy — kMasked is
-/// the per-op reference BFS, kFrontier the batched sweep with cached
-/// trees (schedule/frontier_router.hpp); their results are bit-identical
-/// by contract, so scenarios pick on speed, not semantics.
+/// EPR-path router selector (schedule/routing.hpp). Only mode =
+/// network_sim accepts one (it reaches the core as EngineOptions::router);
+/// kNone uses the static hop model. kMasked and kFrontier compute the same
+/// masked-shortest-path policy — kMasked is the per-op reference BFS,
+/// kFrontier the batched sweep with cached trees
+/// (schedule/frontier_router.hpp); their results are bit-identical by
+/// contract, so scenarios pick on speed, not semantics.
 enum class RouterKind { kNone, kShortest, kCongestion, kMasked, kFrontier };
 
 /// Workload half of a scenario: either an explicit circuit list
@@ -183,31 +185,19 @@ ScenarioSpec load_scenario_file(const std::string& path);
 /// to_ini(parse_scenario(to_ini(s))) == to_ini(s) for any valid spec.
 std::string to_ini(const ScenarioSpec& spec);
 
-/// Per-job outcome, engine-independent. Times are simulation units;
-/// arrival is 0 except in incoming mode.
-struct ScenarioJobResult {
-  std::string name;
-  /// False when a job that fits the cloud's total capacity found no
-  /// feasible mapping (batch engine: none on its private idle cloud copy;
-  /// network-sim engine: none in the capacity the jobs placed before it
-  /// left free). Such jobs are excluded from the aggregate metrics below.
-  /// A job larger than the total capacity throws std::logic_error in every
-  /// engine instead.
+/// Per-job outcome, engine-independent: the shared-cloud engines' JobStats
+/// (arrival is 0 except in incoming mode; the batch engine fills no
+/// placed_time or restarts) plus the scenario's own two fields.
+struct ScenarioJobResult : JobStats {
+  /// False only in batch mode, for a job that fits the cloud's total
+  /// capacity but found no feasible mapping on its private idle cloud
+  /// copy. Such jobs are excluded from the aggregate metrics below. The
+  /// shared-cloud modes queue a job until capacity frees and throw the
+  /// core's deadlock error when no idle cloud can host it; a job larger
+  /// than the total capacity throws std::logic_error in every engine.
   bool placed = true;
-  double arrival = 0.0;
-  double placed_time = 0.0;
-  double completion_time = 0.0;
-  std::size_t remote_ops = 0;
-  /// Placement communication cost (paper Obj. 1). Populated by the batch
-  /// and network-sim engines; the multi-tenant/incoming engines' stats do
-  /// not carry it and leave 0.
-  double comm_cost = 0.0;
-  int qpus_used = 0;
-  double est_fidelity = 1.0;
   /// Index into ScenarioResult::tenants; -1 on tenantless runs.
   int tenant = -1;
-  /// Times the job was displaced by churn or preempted and re-run.
-  int restarts = 0;
 };
 
 /// Per-tenant aggregates of one scenario run (multi-tenant/incoming
@@ -243,7 +233,8 @@ struct ScenarioResult {
   double mean_fidelity = 0.0;
   /// Placer invocations issued by the engine (admission retries included).
   std::size_t placement_calls = 0;
-  /// Simulator counters; populated by the network-sim engine only.
+  /// Simulator counters of the run; reported by mode = network_sim only
+  /// (0 in every other mode, so their goldens keep their bytes).
   std::uint64_t events_processed = 0;
   std::uint64_t allocation_rounds = 0;
   /// Placement-cache counters (all 0 when engine.cache is off). Fully

@@ -49,30 +49,6 @@ std::vector<NodeId> bfs_order(const Graph& g, NodeId src) {
   return order;
 }
 
-std::vector<double> dijkstra(const Graph& g, NodeId src) {
-  CLOUDQC_CHECK(src >= 0 && src < g.num_nodes());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (const auto& e : g.neighbors(u)) {
-      CLOUDQC_DCHECK(e.weight >= 0.0);
-      const double nd = d + e.weight;
-      if (nd < dist[static_cast<std::size_t>(e.to)]) {
-        dist[static_cast<std::size_t>(e.to)] = nd;
-        pq.push({nd, e.to});
-      }
-    }
-  }
-  return dist;
-}
-
 HopDistanceMatrix::HopDistanceMatrix(const Graph& g)
     : n_(static_cast<std::size_t>(g.num_nodes())) {
   dist_.resize(n_ * n_);

@@ -35,6 +35,12 @@ struct StreamingMetrics {
   /// the cloud's capacity respectively).
   std::uint64_t peak_pending = 0;
   std::uint64_t peak_in_flight = 0;
+  /// Simulator work of the whole run: events processed and allocation
+  /// rounds that invoked the allocator. Set once by run_lifecycle; shard
+  /// folds leave them 0, so merge() and operator== ignore them (they
+  /// describe what the run cost, not what happened to its jobs).
+  std::uint64_t events_processed = 0;
+  std::uint64_t allocation_rounds = 0;
   /// Latest completion time (simulation units).
   double makespan = 0.0;
 
@@ -76,8 +82,9 @@ struct StreamingMetrics {
     fidelity.merge(other.fidelity);
   }
 
-  /// Bit-identity over every deterministic field — the equality the
-  /// 1/2/8-worker contract tests assert.
+  /// Bit-identity over every deterministic outcome field (all but the
+  /// simulator work counters) — the equality the 1/2/8-worker contract
+  /// tests assert.
   bool operator==(const StreamingMetrics& other) const {
     return submitted == other.submitted && completed == other.completed &&
            rejected == other.rejected &&

@@ -30,8 +30,6 @@ class EprModel {
 
   explicit EprModel(double success_prob);
 
-  double success_prob() const { return p_; }
-
   /// Per-round success probability of one pipeline across `hops` links.
   double per_round_prob(int hops) const;
 

@@ -98,14 +98,6 @@ void NetworkSimulator::cancel_job(int job_id) {
   if (recycle_completed_) free_slots_.push_back(job_id);
 }
 
-bool NetworkSimulator::job_live(int job_id) const {
-  if (job_id < 0 || static_cast<std::size_t>(job_id) >= jobs_.size()) {
-    return false;
-  }
-  const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  return job.circuit != nullptr && !job.done;
-}
-
 void NetworkSimulator::set_qpu_offline(QpuId q) {
   CLOUDQC_CHECK(q >= 0 && static_cast<std::size_t>(q) < offline_.size());
   CLOUDQC_CHECK_MSG(!offline_[static_cast<std::size_t>(q)],
@@ -129,11 +121,6 @@ void NetworkSimulator::set_qpu_online(QpuId q) {
     impounded_[static_cast<std::size_t>(q)] = 0;
     alloc_dirty_ = true;  // returned pairs may fund a waiting op
   }
-}
-
-bool NetworkSimulator::qpu_offline(QpuId q) const {
-  CLOUDQC_CHECK(q >= 0 && static_cast<std::size_t>(q) < offline_.size());
-  return offline_[static_cast<std::size_t>(q)] != 0;
 }
 
 void NetworkSimulator::set_calibration_drift(double amplitude,

@@ -126,10 +126,9 @@ class NetworkSimulator {
   /// callers must consume each JobCompletion before admitting more work.
   /// Event trajectories, completion times and fidelities are bit-identical
   /// to the non-recycled run — allocation decisions never read job ids —
-  /// only the id labels differ. Off by default: direct callers (the
-  /// network-sim scenario engine, benches) join completions on stable ids.
+  /// only the id labels differ. Off by default: direct callers (benches,
+  /// tests) join completions on stable ids.
   void set_recycle_completed(bool enabled) { recycle_completed_ = enabled; }
-  bool recycle_completed() const { return recycle_completed_; }
 
   /// Total EPR attempt rounds consumed so far (all jobs) — a network-cost
   /// counter used by benches and tests.
@@ -143,7 +142,6 @@ class NetworkSimulator {
   /// behavior wholesale: the router-stall requeue and the routed
   /// fixed-point rounds apply in both modes.
   void set_change_gated(bool enabled) { change_gated_ = enabled; }
-  bool change_gated() const { return change_gated_; }
 
   /// Cancel a live job: its pending gate events are dropped, in-flight
   /// remote operations return their communication qubits, and the slot is
@@ -152,9 +150,6 @@ class NetworkSimulator {
   /// scratch. Used by the churn layer to displace jobs from a departing
   /// QPU. Precondition: the slot holds a live job.
   void cancel_job(int job_id);
-
-  /// True when the slot holds an admitted, not-yet-completed job.
-  bool job_live(int job_id) const;
 
   /// QPU maintenance fence: impound a QPU's *free* communication qubits
   /// so no decision point hands them out; operations already holding
@@ -168,7 +163,6 @@ class NetworkSimulator {
   /// marks a decision point dirty.
   void set_qpu_offline(QpuId q);
   void set_qpu_online(QpuId q);
-  bool qpu_offline(QpuId q) const;
 
   /// Run a decision point now if the resource state changed — the churn
   /// layer's hook after cancellations and QPU state flips (which do not

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -111,23 +110,6 @@ TEST(BfsOrder, VisitsReachableExactlyOnce) {
   const auto order = bfs_order(g, 0);
   EXPECT_EQ(order.size(), 4u);  // node 4 unreachable
   EXPECT_EQ(order.front(), 0);
-}
-
-TEST(Dijkstra, RespectsWeights) {
-  Graph g(4);
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  g.add_edge(3, 1, 1.0);
-  const auto d = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(d[1], 3.0);  // via 2 and 3
-  EXPECT_DOUBLE_EQ(d[3], 2.0);
-}
-
-TEST(Dijkstra, UnreachableIsInfinity) {
-  Graph g(2);
-  const auto d = dijkstra(g, 0);
-  EXPECT_TRUE(std::isinf(d[1]));
 }
 
 TEST(HopDistanceMatrix, MatchesBfs) {

@@ -274,9 +274,10 @@ TEST(ScenarioTest, GridMultitenantSpecMatchesHandWiredBatch) {
   EXPECT_GE(result.placement_calls, stats.size());
 }
 
-// Same contract for the shared-simulator engine with routing and a
-// heterogeneous (bimodal torus) cloud, following the RNG discipline
-// documented in core/scenario.cpp's run_network_sim.
+// Same contract for the routed engine on a heterogeneous (bimodal torus)
+// cloud. Every job fits at t = 0, so the lifecycle core's draws match a
+// bare simulator: Rng(seed), the simulator on rng.fork(), then one
+// placer.place per job in list order.
 TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   const ScenarioSpec spec =
       load_scenario_file(scenario_path("torus_bimodal_netsim.ini"));
@@ -318,6 +319,53 @@ TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   EXPECT_EQ(result.events_processed, sim.num_events_processed());
   EXPECT_EQ(result.allocation_rounds, sim.num_allocation_rounds());
   EXPECT_EQ(result.placement_calls, result.jobs.size());
+}
+
+// A network_sim job that does not fit the capacity left at t = 0 waits for
+// capacity like any shared-cloud job: on a ring of 4 QPUs (80 computing
+// qubits) two ising_n34 leave 12 free, so qft_n29 is admitted at the first
+// completion. Every record equals the FIFO batch engine with the same
+// router.
+TEST(ScenarioTest, NetworkSimQueuesJobsThatDoNotFitAtTimeZero) {
+  const ScenarioSpec spec = parse_scenario(
+      "[cloud]\ntopology = ring\nnum_qpus = 4\n"
+      "[workload]\ncircuits = ising_n34, ising_n34, qft_n29\n"
+      "[engine]\nmode = network_sim\nrouter = masked\n");
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.jobs.size(), 3u);
+  for (const ScenarioJobResult& job : result.jobs) {
+    EXPECT_TRUE(job.placed) << job.name;
+  }
+  EXPECT_EQ(result.jobs[2].placed_time,
+            std::min(result.jobs[0].completion_time,
+                     result.jobs[1].completion_time));
+  EXPECT_GT(result.jobs[2].placed_time, 0.0);
+
+  QuantumCloud cloud = build_cloud(spec.cloud);
+  std::vector<Circuit> jobs;
+  for (const auto& name : spec.workload.circuits) {
+    jobs.push_back(make_workload(name));
+  }
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  const auto router = make_masked_shortest_router();
+  MultiTenantOptions options;
+  options.fifo = true;
+  options.router = router.get();
+  const auto stats = run_batch(jobs, cloud, *placer, *alloc, options);
+  ASSERT_EQ(stats.size(), result.jobs.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    const JobStats& got = result.jobs[i];
+    EXPECT_EQ(got.name, stats[i].name);
+    EXPECT_EQ(got.arrival, stats[i].arrival);
+    EXPECT_EQ(got.placed_time, stats[i].placed_time);
+    EXPECT_EQ(got.completion_time, stats[i].completion_time);
+    EXPECT_EQ(got.remote_ops, stats[i].remote_ops);
+    EXPECT_EQ(got.comm_cost, stats[i].comm_cost);
+    EXPECT_EQ(got.qpus_used, stats[i].qpus_used);
+    EXPECT_EQ(got.est_fidelity, stats[i].est_fidelity);
+    EXPECT_EQ(got.restarts, stats[i].restarts);
+  }
 }
 
 // Same contract for the streaming engine: the mode=streaming smoke spec
@@ -636,6 +684,21 @@ TEST(ScenarioParserTest, RejectsOutOfRangeCloudSweepValue) {
       "[workload]\ncircuits = ising_n34\n"
       "[sweep]\ncloud.epr_success_prob = 0.3, 1.5\n",
       "epr_success_prob");
+}
+
+// Parse-only: no cloud is built, so the huge values cost nothing here.
+TEST(ScenarioParserTest, RejectsNumQpusAboveCap) {
+  for (const char* v : {"4097", "100000000", "2147483647"}) {
+    expect_range_error(cloud_spec("num_qpus", v), "num_qpus");
+  }
+  EXPECT_NO_THROW(parse_scenario(cloud_spec("num_qpus", "4096")));
+}
+
+TEST(ScenarioParserTest, RejectsNumQpusSweepValueAboveCap) {
+  expect_range_error(
+      "[workload]\ncircuits = ising_n34\n"
+      "[sweep]\ncloud.num_qpus = 20, 4097\n",
+      "num_qpus");
 }
 
 // Every committed spec round-trips through to_ini(), and every scalar key
