@@ -321,7 +321,7 @@ int main() {
   auto run_trace = [&](bool gated) {
     QuantumCloud trace_cloud = bench::default_cloud(/*seed=*/7);
     CountingPlacer counting(make_annealing_placer(sa_iters));
-    IncomingOptions options;
+    EngineOptions options;
     options.seed = 31;
     options.gated_admission = gated;
     options.gated_allocation = gated;

@@ -11,17 +11,13 @@ namespace cloudqc {
 std::vector<JobStats> run_incoming(std::vector<ArrivingJob> jobs,
                                    QuantumCloud& cloud, const Placer& placer,
                                    const CommAllocator& allocator,
-                                   const IncomingOptions& options) {
+                                   const EngineOptions& options) {
   CLOUDQC_CHECK_MSG(
       options.classes.empty() || options.classes.size() == jobs.size(),
       "classes must be empty or indexed like the trace");
-  std::vector<JobStats> stats(jobs.size());
-  LifecycleSettings settings;
-  settings.churn = options.churn;
-  settings.classes = &options.classes;
-  settings.table = &stats;
+  std::vector<JobStats> stats;
   const std::unique_ptr<JobSource> source = make_vector_source(std::move(jobs));
-  run_lifecycle(*source, cloud, placer, allocator, options, settings);
+  run_lifecycle(*source, cloud, placer, allocator, options, &stats);
   return stats;
 }
 
@@ -29,7 +25,7 @@ std::vector<JobStats> run_incoming(std::vector<ArrivingJob> jobs,
                                    QuantumCloud& cloud, const Placer& placer,
                                    const CommAllocator& allocator,
                                    std::uint64_t seed) {
-  IncomingOptions options;
+  EngineOptions options;
   options.seed = seed;
   return run_incoming(std::move(jobs), cloud, placer, allocator, options);
 }

@@ -52,21 +52,24 @@ class JobLifecycle {
  public:
   JobLifecycle(JobSource& source, QuantumCloud& cloud, const Placer& placer,
                const CommAllocator& allocator, const EngineOptions& options,
-               const LifecycleSettings& settings)
+               std::vector<JobStats>* table)
       : source_(source),
         cloud_(cloud),
         placer_(placer),
-        cache_(options.cache),
-        settings_(settings),
-        churn_(settings.churn),
+        options_(options),
+        table_(table),
+        churn_(options.churn),
         rng_(options.seed),
         sim_(cloud, allocator, rng_.fork(), options.router),
-        gate_(settings.max_pending, options.gated_admission),
+        gate_(options.max_pending, options.gated_admission),
         fenced_(static_cast<std::size_t>(cloud.num_qpus()), 0),
-        shard_metrics_(settings.intake_shards),
+        shard_metrics_(options.intake_shards),
         peeked_(source.next()) {
-    CLOUDQC_CHECK(settings.max_pending >= 1);
-    CLOUDQC_CHECK(settings.intake_shards >= 1);
+    CLOUDQC_CHECK(options.max_pending >= 1);
+    CLOUDQC_CHECK(options.intake_shards >= 1);
+    CLOUDQC_CHECK_MSG(table_ == nullptr || !reject_overflow(),
+                      "reject backpressure needs a run without a table");
+    if (table_ != nullptr) table_->clear();
     sim_.set_change_gated(options.gated_allocation);
     // Completed and cancelled jobs free their simulator state at once; the
     // core never reads simulator job ids after a job leaves.
@@ -111,8 +114,15 @@ class JobLifecycle {
         // forced attempt on an idle cloud. Give a stochastic placer one
         // more forced shot, then apply the unplaceable policy — the single
         // failure site.
-        CLOUDQC_CHECK_MSG(in_flight_.empty(),
-                          "in-flight jobs but simulator has no events");
+        if (!in_flight_.empty()) {
+          // Jobs in flight with no event left: a remote op has no EPR path
+          // even on an otherwise idle network, so nothing can unblock it.
+          const Circuit& stuck = *in_flight_.begin()->second.job.circuit;
+          throw std::logic_error(
+              "deadlock: job '" + stuck.name() +
+              "' is in flight but can make no progress: a remote operation "
+              "has no EPR path and no pending event can free one");
+        }
         CLOUDQC_CHECK(!queue_.empty());
         admit(/*force=*/true);
         if (!in_flight_.empty()) continue;
@@ -159,9 +169,13 @@ class JobLifecycle {
   };
   using FlightIt = std::map<std::uint64_t, Flight>::iterator;
 
+  bool reject_overflow() const {
+    return options_.backpressure == StreamingBackpressure::kReject;
+  }
+
   bool intake_open() const {
     return peeked_.has_value() &&
-           (settings_.reject_overflow || queue_.size() < settings_.max_pending);
+           (reject_overflow() || queue_.size() < options_.max_pending);
   }
 
   /// Take every job that has arrived by now, while the intake is open.
@@ -172,17 +186,20 @@ class JobLifecycle {
       job.shard = job.id % shard_metrics_.size();
       job.circuit = std::make_unique<Circuit>(std::move(peeked_->circuit));
       job.arrival = peeked_->arrival;
-      if (settings_.classes != nullptr && !settings_.classes->empty()) {
-        job.job_class = (*settings_.classes)[job.id];
+      if (!options_.classes.empty()) {
+        CLOUDQC_CHECK_MSG(job.id < options_.classes.size(),
+                          "classes must cover every submitted job");
+        job.job_class = options_.classes[job.id];
       }
       peeked_ = source_.next();
       CLOUDQC_CHECK_MSG(job.arrival >= last_arrival_,
                         "arrivals must come in non-decreasing time order");
       last_arrival_ = job.arrival;
       ++shard_metrics_[job.shard].submitted;
+      if (table_ != nullptr) table_->emplace_back();
       if (job.circuit->num_qubits() > cloud_.total_computing_capacity()) {
         unplaceable(job, /*oversize=*/true);
-      } else if (queue_.size() >= settings_.max_pending) {
+      } else if (queue_.size() >= options_.max_pending) {
         reject(job, /*oversize=*/false);  // reject mode; defer never gets here
       } else {
         enqueue(std::move(job));
@@ -202,7 +219,7 @@ class JobLifecycle {
   /// snapshot; on success the job moves to the in-flight table.
   bool try_admit(std::size_t pos) {
     LifecycleJob& job = queue_[pos];
-    const auto placement = cached_place(cache_, *job.circuit, cloud_,
+    const auto placement = cached_place(options_.cache, *job.circuit, cloud_,
                                         placer_, rng_, &gate_.signature());
     if (!placement.has_value()) {
       gate_.record_failure(job.id, job.circuit->num_qubits());
@@ -363,30 +380,30 @@ class JobLifecycle {
     cloud_.release(flight.reservation);
     shard_metrics_[flight.job.shard].record_completion(
         record.jct(), record.est_fidelity, record.completion_time);
-    if (settings_.table != nullptr) {
-      (*settings_.table)[flight.job.id] = std::move(record);
-    }
+    if (table_ != nullptr) (*table_)[flight.job.id] = std::move(record);
     in_flight_.erase(entry);
     checkpoint();
   }
 
   void checkpoint() {
-    if (settings_.checkpoint_interval == 0 || !settings_.on_checkpoint) return;
+    if (options_.checkpoint_interval == 0 || !options_.on_checkpoint) return;
     StreamingProgress p;
     for (const StreamingMetrics& m : shard_metrics_) {
       p.submitted += m.submitted;
       p.completed += m.completed;
       p.rejected += m.rejected;
     }
-    if (p.completed % settings_.checkpoint_interval != 0) return;
+    if (p.completed % options_.checkpoint_interval != 0) return;
     p.pending = queue_.size();
     p.in_flight = in_flight_.size();
     p.sim_now = sim_.now();
-    settings_.on_checkpoint(p);
+    options_.on_checkpoint(p);
   }
 
+  /// A per-job table must account for every job, so with one an
+  /// unplaceable job throws; without one it is dropped and counted.
   void unplaceable(const LifecycleJob& job, bool oversize) {
-    if (settings_.policy == UnplaceablePolicy::kThrow) {
+    if (table_ != nullptr) {
       if (oversize) check_fits_cloud(*job.circuit, cloud_);  // throws
       throw std::logic_error("deadlock: job '" + job.circuit->name() +
                              "' cannot be admitted into an idle cloud");
@@ -403,8 +420,8 @@ class JobLifecycle {
   JobSource& source_;
   QuantumCloud& cloud_;
   const Placer& placer_;
-  PlacementCache* cache_;
-  const LifecycleSettings& settings_;
+  const EngineOptions& options_;
+  std::vector<JobStats>* table_;
   const ChurnPlan* churn_;
   Rng rng_;
   NetworkSimulator sim_;
@@ -435,9 +452,8 @@ StreamingMetrics run_lifecycle(JobSource& source, QuantumCloud& cloud,
                                const Placer& placer,
                                const CommAllocator& allocator,
                                const EngineOptions& options,
-                               const LifecycleSettings& settings) {
-  return JobLifecycle(source, cloud, placer, allocator, options, settings)
-      .run();
+                               std::vector<JobStats>* table) {
+  return JobLifecycle(source, cloud, placer, allocator, options, table).run();
 }
 
 }  // namespace cloudqc

@@ -7,19 +7,20 @@
 // FIFO intake orders jobs, the placer admits a job when capacity allows,
 // and the network scheduler runs every admitted job on the shared cloud.
 //
-// The engines are thin adaptors that differ only in their
-// LifecycleSettings and their source:
-//   run_streaming — a pulled JobSource, bounded pending set with defer or
-//                   reject backpressure, intake shards, checkpoints, and
-//                   the drop policy for unplaceable jobs;
-//   run_incoming  — a vector source over the caller's trace, unbounded
-//                   pending set, one shard, tenant classes, churn, a
-//                   per-job table, and the throw policy;
+// Every engine reads the one EngineOptions below; the engines are thin
+// adaptors that differ only in their source and in whether they keep a
+// per-job table:
+//   run_streaming — a pulled JobSource, no table (StreamingOptions only
+//                   changes the pending bound and shard defaults);
+//   run_incoming  — a vector source over the caller's trace, with a table;
 //   run_batch     — run_incoming with every job arriving at t = 0 in
 //                   batch-manager order;
 //   network_sim   — (core/scenario.cpp) the scenario's job list, all at
 //                   t = 0 in list order, through an EprRouter, with a
-//                   per-job table and the throw policy.
+//                   table.
+// A job that can never be placed throws when there is a table (a per-job
+// view accounts for every job) and is dropped and counted when there is
+// none.
 //
 // Queue order: jobs are kept sorted by (shard, priority desc, id), where
 // the id is the submission index (the trace index; for run_batch the
@@ -53,35 +54,8 @@ class EprRouter;
 class PlacementCache;
 struct ChurnPlan;
 
-/// Knobs every queue engine shares (IncomingOptions, and through it
-/// MultiTenantOptions, and StreamingOptions derive from this).
-struct EngineOptions {
-  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
-  std::uint64_t seed = 1;
-  /// Change-gated decision points (see README "Simulator event loop &
-  /// decision points"). Both default on; the ungated paths are kept as
-  /// the regression baseline for bench_network_sim and for A/B studies.
-  /// `gated_admission` suppresses placement retries for queued jobs until
-  /// computing qubits have been released since their last failed attempt
-  /// (capacity-signature rule; bypassed whenever the cloud is idle).
-  /// `gated_allocation` is NetworkSimulator::set_change_gated.
-  bool gated_admission = true;
-  bool gated_allocation = true;
-  /// Optional cross-request placement cache (not owned; see
-  /// placement/placement_cache.hpp). Null keeps the exact pre-cache
-  /// behaviour: every admission attempt runs the placer cold. The caller
-  /// owns the cache so it can persist across runs and read stats; it must
-  /// only be shared across *serial* runs against the same cloud topology.
-  PlacementCache* cache = nullptr;
-  /// EPR-path router handed to the simulator (not owned; see
-  /// schedule/routing.hpp). Null keeps the static hop model. Not
-  /// supported together with churn (NetworkSimulator::set_qpu_offline).
-  const EprRouter* router = nullptr;
-};
-
-/// Tenant-class attributes of one job in a shared-cloud engine run
-/// (batch and incoming modes). Default-constructed = the classless
-/// engine: priority 0, no preemption.
+/// Tenant-class attributes of one job in a lifecycle run.
+/// Default-constructed = the classless engine: priority 0, no preemption.
 struct JobClass {
   /// Higher-priority jobs are attempted first at every admission round.
   int priority = 0;
@@ -145,35 +119,76 @@ struct StreamingProgress {
   double sim_now = 0.0;
 };
 
-/// What to do with a job that can never be placed: one larger than the
-/// cloud's total capacity, or one that failed a forced attempt against an
-/// idle cloud with nothing left that could change capacity.
-enum class UnplaceablePolicy {
-  kThrow,  ///< std::logic_error (batch, incoming and network_sim)
-  kDrop,   ///< count it as rejected and go on (streaming)
+/// What to do with new arrivals while the pending set is at max_pending.
+enum class StreamingBackpressure {
+  /// Stop pulling from the source until admissions free space. Arrival
+  /// timestamps are the source's own and do not shift — deferral delays
+  /// *admission* (queueing time counts into JCT), models an upstream
+  /// buffer that absorbs the burst.
+  kDefer,
+  /// Keep pulling and drop overflow arrivals, counted in
+  /// StreamingMetrics::rejected — models a load-shedding front end. Needs
+  /// a run without a per-job table.
+  kReject,
 };
 
-/// What distinguishes one engine's run of the lifecycle from another's.
-struct LifecycleSettings {
-  /// Maintenance/churn timeline (not owned); null = static cloud.
+/// Every setting of a lifecycle run, read by run_lifecycle directly; each
+/// engine's options are this struct (MultiTenantOptions adds run_batch's
+/// ordering inputs, StreamingOptions only other defaults). The defaults
+/// are the core's own: unbounded pending set, defer, one shard, no
+/// checkpoints, static classless cloud.
+struct EngineOptions {
+  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
+  std::uint64_t seed = 1;
+  /// Change-gated decision points (see README "Simulator event loop &
+  /// decision points"). Both default on; the ungated paths are kept as
+  /// the regression baseline for bench_network_sim and for A/B studies.
+  /// `gated_admission` suppresses placement retries for queued jobs until
+  /// computing qubits have been released since their last failed attempt
+  /// (capacity-signature rule; bypassed whenever the cloud is idle).
+  /// `gated_allocation` is NetworkSimulator::set_change_gated.
+  bool gated_admission = true;
+  bool gated_allocation = true;
+  /// Optional cross-request placement cache (not owned; see
+  /// placement/placement_cache.hpp). Null keeps the exact pre-cache
+  /// behaviour: every admission attempt runs the placer cold. The caller
+  /// owns the cache so it can persist across runs and read stats; it must
+  /// only be shared across *serial* runs against the same cloud topology.
+  PlacementCache* cache = nullptr;
+  /// EPR-path router handed to the simulator (not owned; see
+  /// schedule/routing.hpp). Null keeps the static hop model. Not
+  /// supported together with churn (NetworkSimulator::set_qpu_offline).
+  const EprRouter* router = nullptr;
+  /// Optional maintenance/churn timeline (not owned; see cloud/churn.hpp).
+  /// Null — or a plan with no events and zero drift — keeps the
+  /// static-cloud trajectory. Offline edges displace every in-flight job
+  /// holding qubits on the departing QPU (policy kRequeue re-queues it at
+  /// its key, kMigrate attempts an immediate re-placement first) and fence
+  /// the QPU's computing and communication capacity until the matching
+  /// online edge, or until the run ends.
   const ChurnPlan* churn = nullptr;
-  /// Tenant classes indexed by submission order (not owned); null or
-  /// empty = classless.
-  const std::vector<JobClass>* classes = nullptr;
-  /// At most `max_pending` arrived jobs wait in the queue. While it is
-  /// full the intake stops pulling (defer), or — with `reject_overflow` —
-  /// keeps pulling and drops the overflow as rejected.
+  /// Optional tenant classes indexed by submission order. Empty keeps the
+  /// classless engine bit-identical; otherwise every submitted job needs
+  /// an entry. A job enters the queue before every strictly lower-priority
+  /// entry (stable within a priority level, so uniform classes reproduce
+  /// the classless order exactly), and preempt-enabled jobs may evict
+  /// strictly-lower-priority in-flight work when placement fails.
+  std::vector<JobClass> classes;
+  /// At most `max_pending` (>= 1) arrived jobs wait in the queue; the
+  /// residual memory is O(max_pending + in-flight + sketches). While it is
+  /// full the intake stops pulling (defer), or keeps pulling and drops
+  /// the overflow as rejected (reject).
   std::size_t max_pending = std::numeric_limits<std::size_t>::max();
-  bool reject_overflow = false;
-  /// Job i lands in intake shard i % intake_shards; shards are walked in
-  /// index order and fold into per-shard metrics merged at the end.
+  StreamingBackpressure backpressure = StreamingBackpressure::kDefer;
+  /// Intake shard count (>= 1). A *fixed* partition of the fold: job i
+  /// lands in shard i % intake_shards, shards are walked in index order
+  /// and their metrics merge in shard order. Deliberately not tied to any
+  /// worker count, so the metrics partition never changes with
+  /// parallelism.
   std::size_t intake_shards = 1;
-  UnplaceablePolicy policy = UnplaceablePolicy::kThrow;
-  /// Optional per-job table indexed by submission order (not owned; sized
-  /// by the caller).
-  std::vector<JobStats>* table = nullptr;
   /// Call `on_checkpoint` after every `checkpoint_interval` completions
-  /// (0 = never).
+  /// (0 = never). The callback must not mutate engine state; it exists so
+  /// benches can sample memory/throughput at fractions of the run.
   std::uint64_t checkpoint_interval = 0;
   std::function<void(const StreamingProgress&)> on_checkpoint;
 };
@@ -181,13 +196,18 @@ struct LifecycleSettings {
 /// Drain `source` through the lifecycle until every job has completed or
 /// been dropped, and return the folded metrics (shard folds merged in
 /// shard order, plus the queue and in-flight high-water marks and the
-/// simulator's event and allocation-round counts). Every
-/// reservation and churn fence is released before returning — also when
-/// the run throws — so the caller's cloud is restored however it ended.
+/// simulator's event and allocation-round counts). A non-null `table` is
+/// refilled with one JobStats per submitted job, indexed by submission
+/// order, and an unplaceable job throws
+/// std::logic_error; reject backpressure is refused there, since a
+/// rejected job would leave a hole. Without a table unplaceable jobs are
+/// dropped and counted. Every reservation and churn fence is released
+/// before returning — also when the run throws — so the caller's cloud is
+/// restored however it ended.
 StreamingMetrics run_lifecycle(JobSource& source, QuantumCloud& cloud,
                                const Placer& placer,
                                const CommAllocator& allocator,
                                const EngineOptions& options,
-                               const LifecycleSettings& settings);
+                               std::vector<JobStats>* table);
 
 }  // namespace cloudqc

@@ -28,7 +28,7 @@ std::vector<JobStats> run_batch(const std::vector<Circuit>& jobs,
   // so a job's trace index is its rank and displaced jobs re-enter there.
   std::vector<ArrivingJob> trace;
   trace.reserve(jobs.size());
-  IncomingOptions incoming = options;
+  EngineOptions incoming = options;
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     trace.push_back({jobs[order[rank]], 0.0});
     if (!classes.empty()) incoming.classes[rank] = classes[order[rank]];

@@ -20,9 +20,9 @@
 
 namespace cloudqc {
 
-/// Knobs of run_batch: the incoming engine's, plus the batch order
-/// (classes are indexed like `jobs`).
-struct MultiTenantOptions : IncomingOptions {
+/// Options of run_batch: the lifecycle's (classes are indexed like
+/// `jobs`), plus the two inputs of the batch order.
+struct MultiTenantOptions : EngineOptions {
   /// Importance-metric weights used for batch ordering.
   BatchWeights weights{};
   /// Use submission order instead of the importance metric

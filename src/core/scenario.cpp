@@ -576,6 +576,48 @@ void validate_cloud_ranges(const ScenarioSpec& spec) {
   }
 }
 
+/// Every [engine] key that only some modes read is loud elsewhere: a
+/// non-default value outside those modes is an error, not silently
+/// ignored, so two specs that differ in such a key never give the same
+/// output.
+void validate_mode_keys(const ScenarioSpec& spec) {
+  const ScenarioEngine& e = spec.engine;
+  const ScenarioEngine d;
+  const auto require = [&](bool set, const char* key, bool read,
+                           const char* modes) {
+    if (set && !read) {
+      throw ScenarioError("scenario '" + spec.name + "': " + key +
+                          " requires mode = " + modes);
+    }
+  };
+  const bool serial = e.mode != EngineMode::kBatch;
+  const bool streaming = e.mode == EngineMode::kStreaming;
+  const char* const serial_modes =
+      "multi_tenant, incoming, network_sim or streaming";
+  // Only network_sim hands the router to the core, and churn cannot meet
+  // one (a routed path could transit an offline QPU;
+  // NetworkSimulator::set_qpu_offline CHECKs that).
+  require(e.router != d.router, "router", e.mode == EngineMode::kNetworkSim,
+          "network_sim");
+  require(e.fifo != d.fifo, "fifo", e.mode == EngineMode::kMultiTenant,
+          "multi_tenant");
+  // The batch engine runs jobs concurrently on private cloud copies: it
+  // has no admission gate or shared allocation loop, and a cache shared
+  // across concurrent requests would make results depend on worker
+  // scheduling.
+  require(e.gated_admission != d.gated_admission, "gated_admission", serial,
+          serial_modes);
+  require(e.gated_allocation != d.gated_allocation, "gated_allocation",
+          serial, serial_modes);
+  require(e.cache, "cache", serial, serial_modes);
+  require(e.max_pending != d.max_pending, "max_pending", streaming,
+          "streaming");
+  require(e.backpressure != d.backpressure, "backpressure", streaming,
+          "streaming");
+  require(e.intake_shards != d.intake_shards, "intake_shards", streaming,
+          "streaming");
+}
+
 /// Spec-level consistency checks shared by parse_scenario (fail early with
 /// a good message) and run_scenario (programmatically built specs).
 void validate(const ScenarioSpec& spec) {
@@ -605,22 +647,7 @@ void validate(const ScenarioSpec& spec) {
   if (spec.engine.workers < 1) {
     throw ScenarioError("scenario '" + spec.name + "': workers < 1");
   }
-  if (spec.engine.router != RouterKind::kNone &&
-      spec.engine.mode != EngineMode::kNetworkSim) {
-    // Loud rather than silently ignored: only network_sim hands the router
-    // to the core, and churn cannot meet one (a routed path could transit
-    // an offline QPU; NetworkSimulator::set_qpu_offline CHECKs that).
-    throw ScenarioError("scenario '" + spec.name +
-                        "': router requires mode = network_sim");
-  }
-  if (spec.engine.cache && spec.engine.mode == EngineMode::kBatch) {
-    // Loud rather than silently ignored: the batch engine runs jobs
-    // concurrently, and a cache shared across concurrent requests would
-    // make results depend on worker scheduling.
-    throw ScenarioError("scenario '" + spec.name +
-                        "': cache requires a serial engine (multi_tenant, "
-                        "incoming, network_sim or streaming)");
-  }
+  validate_mode_keys(spec);
   if (spec.engine.cache_capacity < 1) {
     throw ScenarioError("scenario '" + spec.name + "': cache_capacity < 1");
   }
@@ -631,8 +658,9 @@ void validate(const ScenarioSpec& spec) {
     throw ScenarioError("scenario '" + spec.name + "': intake_shards < 1");
   }
 
-  // Dynamic-cloud and tenant features run through the serial queue engines
-  // only: they are the ones with a pending queue to displace jobs into.
+  // Churn runs through every mode with a pending queue to displace jobs
+  // into and no router; tenants also need the per-job table their
+  // results are folded from, which streaming does not keep.
   const bool queue_engine = spec.engine.mode == EngineMode::kMultiTenant ||
                             spec.engine.mode == EngineMode::kIncoming;
   const ChurnSpec& churn = spec.churn;
@@ -644,10 +672,10 @@ void validate(const ScenarioSpec& spec) {
                         "': drift_amplitude must be in [0, 1)");
   }
   if (churn.enabled()) {
-    if (!queue_engine) {
+    if (!queue_engine && spec.engine.mode != EngineMode::kStreaming) {
       throw ScenarioError("scenario '" + spec.name +
-                          "': [churn] requires mode = multi_tenant or "
-                          "incoming");
+                          "': [churn] requires mode = multi_tenant, "
+                          "incoming or streaming");
     }
     if (churn.random_windows > 0 &&
         (churn.horizon <= 0.0 || churn.mean_duration <= 0.0)) {
@@ -714,6 +742,7 @@ void validate(const ScenarioSpec& spec) {
         probe.sweep.clear();
         apply_sweep_assignment(probe, axis.key, value);
         validate_cloud_ranges(probe);
+        validate_mode_keys(probe);
       }
     }
   }
@@ -1107,6 +1136,25 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     cache = std::make_unique<PlacementCache>(cache_options);
   }
 
+  // One set of lifecycle options for every shared-cloud mode; validate()
+  // has refused each key a mode does not read, so the fields below that a
+  // mode leaves at their defaults are exactly the ones it ignores.
+  const std::unique_ptr<EprRouter> router = make_router(spec.engine.router);
+  MultiTenantOptions options;
+  options.seed = spec.engine.seed;
+  options.gated_admission = spec.engine.gated_admission;
+  options.gated_allocation = spec.engine.gated_allocation;
+  options.cache = cache.get();
+  options.router = router.get();
+  options.churn = churn_on ? &churn_plan : nullptr;
+  options.fifo = spec.engine.fifo;
+  if (spec.engine.mode == EngineMode::kStreaming) {
+    options.max_pending = static_cast<std::size_t>(spec.engine.max_pending);
+    options.backpressure = spec.engine.backpressure;
+    options.intake_shards =
+        static_cast<std::size_t>(spec.engine.intake_shards);
+  }
+
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
@@ -1134,21 +1182,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       if (!spec.tenants.empty()) {
         tenant_of = assign_tenants(spec.tenants, trace.size(),
                                    spec.workload.trace_seed);
-      }
-      const std::unique_ptr<EprRouter> router = make_router(spec.engine.router);
-      // The batch engine's options are the incoming engine's plus the
-      // batch order, which run_incoming does not read.
-      MultiTenantOptions options;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.router = router.get();
-      options.churn = churn_on ? &churn_plan : nullptr;
-      if (!tenant_of.empty()) {
         options.classes = classes_for(spec.tenants, tenant_of);
       }
-      options.fifo = spec.engine.fifo;
       std::vector<JobStats> stats;
       if (spec.engine.mode == EngineMode::kMultiTenant) {
         stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
@@ -1161,13 +1196,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         // capacity allows: the FIFO shared-cloud loop with a router. Called
         // directly (not via run_incoming) for the simulator counters.
         for (ArrivingJob& job : trace) job.arrival = 0.0;
-        stats.resize(trace.size());
-        LifecycleSettings settings;
-        settings.table = &stats;
         const std::unique_ptr<JobSource> source =
             make_vector_source(std::move(trace));
         const StreamingMetrics metrics = run_lifecycle(
-            *source, cloud, counting, *allocator, options, settings);
+            *source, cloud, counting, *allocator, options, &stats);
         result.events_processed = metrics.events_processed;
         result.allocation_rounds = metrics.allocation_rounds;
       }
@@ -1180,15 +1212,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     case EngineMode::kStreaming: {
       const std::unique_ptr<JobSource> source = build_source(spec.workload);
-      StreamingOptions options;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.max_pending =
-          static_cast<std::size_t>(spec.engine.max_pending);
-      options.backpressure = spec.engine.backpressure;
-      options.intake_shards = spec.engine.intake_shards;
       const StreamingMetrics metrics =
           run_streaming(*source, cloud, counting, *allocator, options);
       // result.jobs stays empty by design: the engine freed per-job state

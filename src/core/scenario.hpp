@@ -97,9 +97,13 @@ struct ScenarioEngine {
   AllocatorKind allocator = AllocatorKind::kCloudQC;
   RouterKind router = RouterKind::kNone;
   std::uint64_t seed = 1;
+  /// Engine keys only some modes read are refused elsewhere (validate()
+  /// rejects any non-default value there), so a spec never carries a
+  /// setting that does not reach its run.
   /// Multi-tenant only: submission order instead of importance order.
   bool fifo = false;
-  /// Change-gated decision points (see docs/ARCHITECTURE.md).
+  /// Change-gated decision points (see docs/ARCHITECTURE.md); every mode
+  /// but batch.
   bool gated_admission = true;
   bool gated_allocation = true;
   /// Worker threads: fan-out width of the batch engine and the racing
@@ -109,7 +113,7 @@ struct ScenarioEngine {
   /// Cross-request placement cache (placement/placement_cache.hpp): exact
   /// repeats of a circuit under identical free capacities reuse the cached
   /// placement; repeats under changed capacities warm-start the placer.
-  /// Serial engines only (multi_tenant / incoming / network_sim) — the
+  /// Serial engines only (every mode but batch) — the
   /// batch engine runs jobs concurrently, where a shared cache would make
   /// results depend on worker scheduling (validate() rejects it loudly).
   bool cache = false;
@@ -160,9 +164,11 @@ struct ScenarioSpec {
   ScenarioWorkload workload;
   ScenarioEngine engine;
   /// [churn] section: QPU maintenance windows + calibration drift.
-  /// Multi-tenant/incoming modes only; default = disabled (static cloud).
+  /// Multi-tenant, incoming and streaming modes; default = disabled
+  /// (static cloud).
   ChurnSpec churn;
   /// [tenant.NAME] sections in file order; empty = tenantless.
+  /// Multi-tenant and incoming modes (streaming keeps no per-job table).
   std::vector<TenantSpec> tenants;
   /// [sweep] axes in file order; run_scenario() ignores them (it executes
   /// the base point), run_sweep() expands the cross product.

@@ -98,18 +98,9 @@ std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
 StreamingMetrics run_streaming(JobSource& source, QuantumCloud& cloud,
                                const Placer& placer,
                                const CommAllocator& allocator,
-                               const StreamingOptions& options) {
-  CLOUDQC_CHECK(options.intake_shards >= 1);
-  LifecycleSettings settings;
-  settings.max_pending = options.max_pending;
-  settings.reject_overflow =
-      options.backpressure == StreamingBackpressure::kReject;
-  settings.intake_shards = static_cast<std::size_t>(options.intake_shards);
-  settings.policy = UnplaceablePolicy::kDrop;
-  settings.checkpoint_interval = options.checkpoint_interval;
-  settings.on_checkpoint = options.on_checkpoint;
+                               const EngineOptions& options) {
   const StreamingMetrics total =
-      run_lifecycle(source, cloud, placer, allocator, options, settings);
+      run_lifecycle(source, cloud, placer, allocator, options, nullptr);
   CLOUDQC_CHECK(total.submitted == total.completed + total.rejected);
   return total;
 }

@@ -5,8 +5,9 @@
 //
 // run_incoming and run_batch take a drained source (a job vector) and
 // return a per-job table, so their memory grows O(jobs) and a jobs=1e6
-// workload is out of reach. run_streaming() replaces both ends of that
-// lifecycle:
+// workload is out of reach. run_streaming() runs the same lifecycle core
+// with the same EngineOptions (classes and churn included) but replaces
+// both ends of it:
 //
 //   intake   — jobs are *pulled* from a JobSource one at a time (never
 //              materialised as a vector) into sharded intake queues; the
@@ -31,7 +32,8 @@
 // that fail two forced placement attempts against a fully idle cloud with
 // nothing left that could change capacity, are dropped and counted
 // (rejected / rejected_oversize) instead of aborting — a service skips a
-// bad job, it does not wedge a million-job run on one.
+// bad job, it does not wedge a million-job run on one. That is the core's
+// rule for a run without a per-job table.
 //
 // Determinism contract: a (source, seed, options) triple fully determines
 // the resulting StreamingMetrics at any worker count. The engine is a
@@ -42,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,36 +80,15 @@ std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
                                              double mean_gap,
                                              std::uint64_t seed);
 
-/// What to do with new arrivals while the pending set is at max_pending.
-enum class StreamingBackpressure {
-  /// Stop pulling from the source until admissions free space. Arrival
-  /// timestamps are the source's own and do not shift — deferral delays
-  /// *admission* (queueing time counts into JCT), models an upstream
-  /// buffer that absorbs the burst.
-  kDefer,
-  /// Keep pulling and drop overflow arrivals, counted in
-  /// StreamingMetrics::rejected — models a load-shedding front end.
-  kReject,
-};
-
-/// Knobs of run_streaming (the shared ones live in EngineOptions; at
-/// streaming traffic the placement cache is what keeps placement off the
-/// critical path).
+/// run_streaming's options: the lifecycle's EngineOptions with a bounded
+/// pending set (4096) and 8 intake shards by default. At streaming
+/// traffic the placement cache is what keeps placement off the critical
+/// path.
 struct StreamingOptions : EngineOptions {
-  /// Bound on the pending set (arrived, not yet placed). The engine's
-  /// memory residual is O(max_pending + in-flight + sketches).
-  std::size_t max_pending = 4096;
-  StreamingBackpressure backpressure = StreamingBackpressure::kDefer;
-  /// Intake shard count (>= 1). A *fixed* partition of the fold: job i
-  /// lands in shard i % intake_shards, per-shard sketches merge in shard
-  /// order. Deliberately not tied to any worker count, so the metrics
-  /// partition never changes with parallelism.
-  int intake_shards = 8;
-  /// Invoke on_checkpoint after every `checkpoint_interval` completions
-  /// (0 = never). The callback must not mutate engine state; it exists so
-  /// benches can sample memory/throughput at fractions of the run.
-  std::uint64_t checkpoint_interval = 0;
-  std::function<void(const StreamingProgress&)> on_checkpoint;
+  StreamingOptions() {
+    max_pending = 4096;
+    intake_shards = 8;
+  }
 };
 
 /// Drain `source` to completion through the streaming lifecycle above and
@@ -117,6 +97,6 @@ struct StreamingOptions : EngineOptions {
 StreamingMetrics run_streaming(JobSource& source, QuantumCloud& cloud,
                                const Placer& placer,
                                const CommAllocator& allocator,
-                               const StreamingOptions& options);
+                               const EngineOptions& options);
 
 }  // namespace cloudqc

@@ -8,6 +8,7 @@
 #include "core/incoming.hpp"
 #include "core/streaming.hpp"
 #include "graph/topology.hpp"
+#include "schedule/routing.hpp"
 #include "test_doubles.hpp"
 
 namespace cloudqc {
@@ -19,6 +20,44 @@ QuantumCloud paper_cloud(std::uint64_t seed = 1) {
   CloudConfig cfg;
   Rng rng(seed);
   return QuantumCloud(cfg, rng);
+}
+
+// A job pinned across the two components of a disconnected cloud has a
+// remote op that no EPR path can serve. With a router the op stays
+// blocked until the simulator runs out of events, and the core's one
+// failure site names the job it finds stuck in flight. The static hop
+// model fails earlier, inside the EPR model, on the hop count (-1) of the
+// unreachable QPU pair.
+TEST(Incoming, UnroutableOpNamesTheStuckJob) {
+  CloudConfig cfg;
+  cfg.num_qpus = 4;
+  cfg.computing_qubits_per_qpu = 4;
+  cfg.comm_qubits_per_qpu = 2;
+  Graph topology(4);
+  topology.add_edge(0, 1);
+  topology.add_edge(2, 3);
+  const testing::FixedPlacer placer({0, 0, 2, 2});
+  const auto alloc = make_cloudqc_allocator();
+  const auto router = make_masked_shortest_router();
+  const std::vector<ArrivingJob> trace = {{gen::ghz(4), 0.0}};
+
+  QuantumCloud cloud(cfg, topology);
+  EngineOptions options;
+  options.router = router.get();
+  try {
+    run_incoming(trace, cloud, placer, *alloc, options);
+    FAIL() << "an unroutable job completed";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job 'ghz_n4'"), std::string::npos) << what;
+    EXPECT_NE(what.find("no EPR path"), std::string::npos) << what;
+  }
+  // The stuck job's reservation is released with the run.
+  EXPECT_EQ(cloud.total_free_computing(), cloud.total_computing_capacity());
+
+  QuantumCloud static_cloud(cfg, topology);
+  EXPECT_THROW(run_incoming(trace, static_cloud, placer, *alloc),
+               std::logic_error);
 }
 
 TEST(Incoming, SingleArrivalMeasuresJctFromArrival) {
@@ -139,7 +178,7 @@ TEST(Incoming, AdmissionGateSuppressesRetriesWithoutRelease) {
   auto run = [&](bool gated) {
     QuantumCloud cloud(cfg, ring_topology(2));
     CountingPlacer placer(make_annealing_placer(300));
-    IncomingOptions options;
+    EngineOptions options;
     options.seed = 21;
     options.gated_admission = gated;
     options.gated_allocation = gated;
@@ -186,7 +225,7 @@ TEST(Incoming, AdmissionGateSkipsWakesThatCannotFit) {
   auto run = [&](bool gated) {
     QuantumCloud cloud(cfg, ring_topology(2));
     CountingPlacer placer(make_annealing_placer(300));
-    IncomingOptions options;
+    EngineOptions options;
     options.seed = 21;
     options.gated_admission = gated;
     options.gated_allocation = gated;
@@ -231,7 +270,7 @@ TEST(Incoming, ChurnDisplacedArrivalsRequeueAndComplete) {
     for (int q = 0; q < 10; ++q) churn.windows.push_back({q, 1.0, 3000.0});
     const ChurnPlan plan = build_churn_plan(churn, cloud.num_qpus());
 
-    IncomingOptions options;
+    EngineOptions options;
     options.seed = 9;
     options.churn = &plan;
     const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
@@ -260,7 +299,7 @@ TEST(Incoming, PreemptEnabledArrivalEvictsLowerPriority) {
   trace.push_back({gen::ghz(250), 0.0});
   trace.push_back({gen::ghz(250), 1.0});
 
-  IncomingOptions options;
+  EngineOptions options;
   options.seed = 7;
   options.gated_admission = false;  // retry (and preempt) at every release
   options.classes = {JobClass{0, false}, JobClass{2, true}};
@@ -289,7 +328,7 @@ TEST(Incoming, ChurnFenceReleasedWhenRunEndsInsideWindow) {
   ChurnSpec churn;
   churn.windows.push_back({3, 1.0, 1e9});
   const ChurnPlan plan = build_churn_plan(churn, cloud.num_qpus());
-  IncomingOptions options;
+  EngineOptions options;
   options.churn = &plan;
   const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
   for (const auto& s : stats) EXPECT_GT(s.completion_time, 0.0);

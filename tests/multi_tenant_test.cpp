@@ -389,7 +389,7 @@ TEST(MultiTenant, BatchEqualsIncomingAllArrivingAtZero) {
                        });
     }
     std::vector<ArrivingJob> trace;
-    IncomingOptions incoming;
+    EngineOptions incoming;
     incoming.seed = batch.seed;
     incoming.gated_admission = v.gated;
     incoming.gated_allocation = v.gated;

@@ -153,7 +153,10 @@ ScenarioSpec random_spec(Rng& rng, int iter) {
   spec.engine.allocator =
       rng.chance(0.5) ? AllocatorKind::kCloudQC : AllocatorKind::kGreedy;
   spec.engine.seed = rng.below(1000);
-  spec.engine.fifo = rng.chance(0.5);
+  // Drawn in every mode so the random stream stays the same; only
+  // multi_tenant reads fifo (validate() refuses it elsewhere).
+  const bool fifo = rng.chance(0.5);
+  if (spec.engine.mode == EngineMode::kMultiTenant) spec.engine.fifo = fifo;
   spec.engine.gated_admission = rng.chance(0.7);
   spec.engine.gated_allocation = rng.chance(0.7);
   spec.engine.cache = rng.chance(0.5);
@@ -279,6 +282,8 @@ TEST(ScenarioPropertyTest, SweepOfOneEqualsPlainRun) {
 TEST(ScenarioPropertyTest, SweepGridIsWorkerCountInvariant) {
   Rng rng(1234);
   ScenarioSpec spec = random_spec(rng, 0);
+  // The fifo axis needs the one mode that reads it.
+  spec.engine.mode = EngineMode::kMultiTenant;
   spec.sweep.push_back({"engine.seed", {"1", "2", "3"}});
   spec.sweep.push_back({"engine.fifo", {"true", "false"}});
 

@@ -649,6 +649,55 @@ void expect_range_error(const std::string& text, const std::string& key) {
   }
 }
 
+// An [engine] key that a mode does not read is loud there: two specs
+// that differ only in it would otherwise give the same output. A key left
+// at its default sets nothing (to_ini writes every key), so it parses in
+// every mode.
+TEST(ScenarioParserTest, RejectsEngineKeysTheModeDoesNotRead) {
+  const std::vector<std::string> serial = {"multi_tenant", "incoming",
+                                           "network_sim", "streaming"};
+  const struct {
+    const char* key;
+    const char* value;
+    const char* default_value;
+    std::vector<std::string> readers;
+  } keys[] = {
+      {"fifo", "true", "false", {"multi_tenant"}},
+      {"max_pending", "32", "4096", {"streaming"}},
+      {"backpressure", "reject", "defer", {"streaming"}},
+      {"intake_shards", "2", "8", {"streaming"}},
+      {"gated_admission", "false", "true", serial},
+      {"gated_allocation", "false", "true", serial},
+  };
+  const std::string base = "[workload]\ncircuits = ising_n34\n[engine]\n";
+  for (const auto& k : keys) {
+    for (const char* mode :
+         {"batch", "multi_tenant", "incoming", "network_sim", "streaming"}) {
+      SCOPED_TRACE(std::string(k.key) + " in " + mode);
+      const std::string spec = base + "mode = " + mode + "\n" + k.key + " = ";
+      EXPECT_NO_THROW(parse_scenario(spec + k.default_value + "\n"));
+      const std::string text = spec + k.value + "\n";
+      if (std::find(k.readers.begin(), k.readers.end(), mode) !=
+          k.readers.end()) {
+        EXPECT_NO_THROW(parse_scenario(text));
+      } else {
+        expect_range_error(text, k.key);
+      }
+    }
+  }
+  // [sweep] values obey the same rule, at parse time and for a
+  // programmatic spec.
+  expect_range_error(
+      base + "mode = network_sim\n[sweep]\nengine.fifo = true, false\n",
+      "fifo");
+  const std::string sharded = base + "mode = streaming\nintake_shards = 2\n";
+  expect_range_error(sharded + "[sweep]\nengine.mode = streaming, incoming\n",
+                     "intake_shards");
+  ScenarioSpec programmatic = parse_scenario(base + "mode = incoming\n");
+  programmatic.sweep.push_back(SweepAxis{"engine.max_pending", {"1", "2"}});
+  EXPECT_THROW(run_sweep(programmatic), ScenarioError);
+}
+
 /// A generator spec whose [cloud] section sets `key = value`.
 std::string cloud_spec(const std::string& key, const std::string& value) {
   return "[workload]\ncircuits = ising_n34\n[cloud]\n" + key + " = " + value +
@@ -944,6 +993,41 @@ TEST(ScenarioTest, ChurnSpecDisplacesJobsAndStillCompletes) {
     restarts += job.restarts;
   }
   EXPECT_GE(restarts, 1);
+}
+
+// [churn] reaches the streaming engine through the same EngineOptions as
+// every other mode: the committed spec's maintenance windows change its
+// run, and its metrics are byte-identical at 1, 2 and 8 workers (the
+// racing placer is the one part of the engine that uses them). Tenants
+// stay refused: streaming keeps no per-job table to fold them from.
+TEST(ScenarioTest, StreamingChurnSpecIsWorkerCountInvariant) {
+  ScenarioSpec spec = load_scenario_file(scenario_path("streaming_churn.ini"));
+  ASSERT_EQ(spec.engine.mode, EngineMode::kStreaming);
+  ASSERT_TRUE(spec.churn.enabled());
+  const auto golden_bytes = [](ScenarioSpec run, int workers) {
+    run.engine.workers = workers;
+    const std::string dir = ::testing::TempDir() + run.name + "_w" +
+                            std::to_string(workers);
+    std::filesystem::create_directories(dir);
+    std::ifstream in(write_golden_json(run_scenario(run), dir));
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+  };
+  const std::string serial = golden_bytes(spec, 1);
+  EXPECT_NE(serial.find("\"stream_completed\": 40"), std::string::npos);
+  EXPECT_EQ(golden_bytes(spec, 2), serial);
+  EXPECT_EQ(golden_bytes(spec, 8), serial);
+
+  ScenarioSpec static_cloud = spec;
+  static_cloud.name = "streaming_static";
+  static_cloud.churn = ChurnSpec{};
+  const std::string unchurned = golden_bytes(static_cloud, 1);
+  EXPECT_NE(unchurned.substr(unchurned.find("\"makespan\"")),
+            serial.substr(serial.find("\"makespan\"")));
+
+  spec.tenants.push_back(TenantSpec{"solo"});
+  EXPECT_THROW(run_scenario(spec), ScenarioError);
 }
 
 }  // namespace

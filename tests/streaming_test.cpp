@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
+#include "cloud/churn.hpp"
 #include "common/thread_pool.hpp"
 #include "core/incoming.hpp"
 #include "core/streaming.hpp"
@@ -37,39 +39,64 @@ std::vector<ArrivingJob> ghz_trace(int jobs, double gap, int width = 30) {
 // recycled job slots never influence allocator decisions). Folding
 // run_incoming's per-job table gives the reference (sketch folds do not
 // depend on order), so the whole StreamingMetrics must compare equal.
+// Both views read the same EngineOptions, so the second input — migrate
+// churn over 16 of the 20 QPUs plus preempt-enabled tenant classes, which
+// displaces and preempts running jobs — must fold equal too.
 TEST(Streaming, VectorSourceMatchesRunIncoming) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
   const auto trace = drain(
       *make_poisson_source({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, 7));
 
-  QuantumCloud incoming_cloud = paper_cloud();
-  const auto stats = run_incoming(trace, incoming_cloud, *placer, *alloc,
-                                  /*seed=*/3);
-  ASSERT_EQ(stats.size(), trace.size());
-  StreamingMetrics reference;
-  reference.submitted = trace.size();
-  for (const JobStats& s : stats) {
-    reference.record_completion(s.jct(), s.est_fidelity, s.completion_time);
+  StreamingOptions plain;
+  plain.seed = 3;
+  plain.intake_shards = 1;
+  plain.max_pending = 1u << 20;  // never defer: run_incoming never does
+
+  ChurnSpec churn;
+  churn.policy = ChurnPolicy::kMigrate;
+  for (int q = 0; q < 16; ++q) churn.windows.push_back({q, 1000.0, 2200.0});
+  churn.drift_amplitude = 0.1;
+  churn.drift_period = 2000.0;
+  const ChurnPlan plan = build_churn_plan(churn, paper_cloud().num_qpus());
+  StreamingOptions churned = plain;
+  churned.churn = &plan;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const bool preempt = i % 3 == 2;
+    churned.classes.push_back(
+        JobClass{preempt ? 2 : static_cast<int>(i % 2), preempt});
   }
 
-  QuantumCloud streaming_cloud = paper_cloud();
-  const auto source = make_vector_source(trace);
-  StreamingOptions options;
-  options.seed = 3;
-  options.intake_shards = 1;
-  options.max_pending = 1u << 20;  // never defer: run_incoming never does
-  const StreamingMetrics metrics =
-      run_streaming(*source, streaming_cloud, *placer, *alloc, options);
+  for (const StreamingOptions* options : {&plain, &churned}) {
+    SCOPED_TRACE(options == &plain ? "plain" : "churn + preempting classes");
+    QuantumCloud incoming_cloud = paper_cloud();
+    const auto stats =
+        run_incoming(trace, incoming_cloud, *placer, *alloc, *options);
+    ASSERT_EQ(stats.size(), trace.size());
+    StreamingMetrics reference;
+    reference.submitted = trace.size();
+    int restarts = 0;
+    for (const JobStats& s : stats) {
+      reference.record_completion(s.jct(), s.est_fidelity, s.completion_time);
+      restarts += s.restarts;
+    }
+    // The second input displaces or preempts running work.
+    EXPECT_EQ(restarts > 0, options == &churned);
 
-  EXPECT_EQ(metrics.completed, trace.size());
-  EXPECT_EQ(metrics.rejected, 0u);
-  // The per-job table holds no queue depths; align the high-water marks
-  // so operator== compares everything else bit-exactly (counters,
-  // makespan, min/max and every sketch bucket).
-  reference.peak_pending = metrics.peak_pending;
-  reference.peak_in_flight = metrics.peak_in_flight;
-  EXPECT_TRUE(metrics == reference);
+    QuantumCloud streaming_cloud = paper_cloud();
+    const auto source = make_vector_source(trace);
+    const StreamingMetrics metrics =
+        run_streaming(*source, streaming_cloud, *placer, *alloc, *options);
+
+    EXPECT_EQ(metrics.completed, trace.size());
+    EXPECT_EQ(metrics.rejected, 0u);
+    // The per-job table holds no queue depths; align the high-water marks
+    // so operator== compares everything else bit-exactly (counters,
+    // makespan, min/max and every sketch bucket).
+    reference.peak_pending = metrics.peak_pending;
+    reference.peak_in_flight = metrics.peak_in_flight;
+    EXPECT_TRUE(metrics == reference);
+  }
 }
 
 TEST(Streaming, PoissonSourceMatchesMaterialisedTrace) {
@@ -149,6 +176,28 @@ TEST(Streaming, RejectBackpressureDropsOverflowAndCountsIt) {
   EXPECT_EQ(metrics.completed + metrics.rejected, metrics.submitted);
   EXPECT_EQ(metrics.rejected_oversize, 0u);
   EXPECT_EQ(metrics.jct.count(), metrics.completed);
+
+  // A per-job table needs a row for every job, so the per-job view
+  // refuses a policy that drops some.
+  QuantumCloud incoming_cloud = paper_cloud();
+  EXPECT_THROW(run_incoming(ghz_trace(12, 0.0), incoming_cloud, *placer,
+                            *alloc, options),
+               std::logic_error);
+}
+
+// Classes are indexed by submission order; a stream that outruns them is
+// refused, not read past the end, and the cloud is restored.
+TEST(Streaming, ClassesMustCoverEverySubmittedJob) {
+  QuantumCloud cloud = paper_cloud();
+  const int free_before = cloud.total_free_computing();
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  const auto source = make_vector_source(ghz_trace(3, 10.0));
+  StreamingOptions options;
+  options.classes = {JobClass{}, JobClass{}};
+  EXPECT_THROW(run_streaming(*source, cloud, *placer, *alloc, options),
+               std::logic_error);
+  EXPECT_EQ(cloud.total_free_computing(), free_before);
 }
 
 TEST(Streaming, OversizeJobIsSkippedNotFatal) {

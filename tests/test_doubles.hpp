@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "placement/placement.hpp"
 
@@ -109,6 +110,41 @@ class RefusingPlacer final : public Placer {
  private:
   std::unique_ptr<Placer> inner_;
   std::string refused_;
+};
+
+/// Places every circuit with one fixed qubit -> QPU map, whatever the
+/// topology: pins a job onto QPUs the test chooses (for instance across
+/// the components of a disconnected cloud). Nullopt while the map does not
+/// fit the free computing capacity.
+class FixedPlacer final : public Placer {
+ public:
+  explicit FixedPlacer(std::vector<QpuId> qubit_to_qpu)
+      : qubit_to_qpu_(std::move(qubit_to_qpu)) {}
+
+  std::string name() const override { return "fixed"; }
+
+  std::optional<Placement> place(const Circuit& circuit,
+                                 const QuantumCloud& cloud,
+                                 Rng& /*rng*/) const override {
+    EXPECT_EQ(circuit.num_qubits(),
+              static_cast<int>(qubit_to_qpu_.size()));
+    Placement p;
+    p.qubit_to_qpu = qubit_to_qpu_;
+    p.qubits_per_qpu.assign(static_cast<std::size_t>(cloud.num_qpus()), 0);
+    for (const QpuId q : qubit_to_qpu_) {
+      ++p.qubits_per_qpu[static_cast<std::size_t>(q)];
+    }
+    for (QpuId q = 0; q < cloud.num_qpus(); ++q) {
+      if (p.qubits_per_qpu[static_cast<std::size_t>(q)] >
+          cloud.qpu(q).free_computing()) {
+        return std::nullopt;
+      }
+    }
+    return p;
+  }
+
+ private:
+  std::vector<QpuId> qubit_to_qpu_;
 };
 
 }  // namespace cloudqc::testing
