@@ -225,10 +225,12 @@ class JobLifecycle {
       gate_.record_failure(job.id, job.circuit->num_qubits());
       return false;
     }
+    // The simulator takes the job before its qubits are reserved, so a job
+    // it refuses (an op with no EPR path) leaves no reservation behind.
+    const int sim_id = sim_.add_job(*job.circuit, placement->qubit_to_qpu);
     gate_.record_admission(job.id);
     CLOUDQC_CHECK(cloud_.try_reserve(placement->qubits_per_qpu));
     gate_.refresh(cloud_);
-    const int sim_id = sim_.add_job(*job.circuit, placement->qubit_to_qpu);
     const std::uint64_t seq = next_seq_++;
     const auto slot = static_cast<std::size_t>(sim_id);
     if (slot >= seq_of_sim_.size()) seq_of_sim_.resize(slot + 1);

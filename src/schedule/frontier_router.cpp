@@ -19,7 +19,9 @@ void FrontierRouter::bind_topology_locked(const Graph& topo) const {
   mask_ = NodeBitmap(topo_nodes_);
   fresh_mask_ = NodeBitmap(topo_nodes_);
   last_free_comm_.clear();
-  trees_.assign(static_cast<std::size_t>(topo_nodes_), Tree{});
+  Tree blank;
+  blank.touched = NodeBitmap(topo_nodes_);
+  trees_.assign(static_cast<std::size_t>(topo_nodes_), blank);
   ++stats_.csr_rebuilds;
 }
 
@@ -50,7 +52,7 @@ void FrontierRouter::sweep_locked(QpuId src) const {
   Tree& t = trees_[static_cast<std::size_t>(src)];
   t.dist.assign(static_cast<std::size_t>(n), -1);
   t.parent.assign(static_cast<std::size_t>(n), kInvalidNode);
-  t.touched = NodeBitmap(n);
+  t.touched.clear_all();
   t.mask = mask_;
   t.valid = true;
 

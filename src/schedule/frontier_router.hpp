@@ -12,11 +12,11 @@
 //     the previous call's (one vector compare otherwise, no allocation
 //     either way), so route() stays a pure function of its arguments no
 //     matter what the cache holds;
-//   * sweep scratch (frontier and next-level vectors) kept allocated
-//     across sweeps; every level is expanded top-down. PaperWasp's
-//     bottom-up direction switch pays on very large graphs, but on the
-//     127-QPU fat-tree it chose under 2% of levels and the sweep ran no
-//     faster with it;
+//   * sweep scratch (frontier and next-level vectors, each tree's touched
+//     bitmap) kept allocated across sweeps; every level is expanded
+//     top-down. PaperWasp's bottom-up direction switch pays on very
+//     large graphs, but on the 127-QPU fat-tree it chose under 2% of
+//     levels and the sweep ran no faster with it;
 //   * incremental invalidation: each tree remembers the saturation bitmap
 //     it swept under and the region it touched; it is reused verbatim
 //     while the *current* saturation state agrees with that snapshot over
@@ -71,7 +71,8 @@ class FrontierRouter final : public EprRouter {
     bool valid = false;
     std::vector<std::int32_t> dist;  // -1 = unreached under the mask
     std::vector<NodeId> parent;      // kInvalidNode at the source/unreached
-    NodeBitmap touched;  // claimed nodes: only their mask bits matter
+    NodeBitmap touched;  // claimed nodes: only their mask bits matter;
+                         // sized at bind, cleared in place per sweep
     NodeBitmap mask;     // saturation bitmap the sweep ran under
   };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cloud/churn.hpp"
@@ -23,12 +25,43 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
   }
   impounded_.assign(free_comm_.size(), 0);
   offline_.assign(free_comm_.size(), 0);
+  spend_.assign(free_comm_.size(), 0);
+}
+
+template <typename Keep>
+void NetworkSimulator::retain_waiting(Keep keep) {
+  // One stable write cursor over both parallel vectors. Ops before the
+  // first dropped one stay where they are, so a pass that drops nothing
+  // writes nothing back.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < waiting_remote_.size(); ++i) {
+    if (!keep(i)) continue;
+    if (kept != i) {
+      waiting_remote_[kept] = waiting_remote_[i];
+      requests_[kept] = requests_[i];
+    }
+    ++kept;
+  }
+  waiting_remote_.resize(kept);
+  requests_.resize(kept);
 }
 
 int NetworkSimulator::add_job(const Circuit& circuit,
                               std::vector<QpuId> qubit_to_qpu) {
   CLOUDQC_CHECK(qubit_to_qpu.size() ==
                 static_cast<std::size_t>(circuit.num_qubits()));
+  CircuitDag dag(circuit);
+  RemoteDag remote(circuit, dag, qubit_to_qpu, cloud_);
+  // The static hop model serves an op over the placement-time distance,
+  // which is -1 between disconnected QPUs: refuse the job before it takes
+  // a slot or draws from the RNG.
+  for (std::size_t i = 0; router_ == nullptr && i < remote.num_ops(); ++i) {
+    if (remote.op(static_cast<int>(i)).hops < 1) {
+      throw std::logic_error(
+          "deadlock: job '" + circuit.name() +
+          "' has a remote operation with no EPR path between its QPUs");
+    }
+  }
   int id;
   if (recycle_completed_ && !free_slots_.empty()) {
     id = free_slots_.back();
@@ -38,8 +71,6 @@ int NetworkSimulator::add_job(const Circuit& circuit,
     jobs_.emplace_back();
   }
   ++jobs_admitted_;
-  CircuitDag dag(circuit);
-  RemoteDag remote(circuit, dag, qubit_to_qpu, cloud_);
 
   Job job;
   job.circuit = &circuit;
@@ -89,10 +120,8 @@ void NetworkSimulator::cancel_job(int job_id) {
     }
     return true;
   });
-  waiting_remote_.erase(
-      std::remove_if(waiting_remote_.begin(), waiting_remote_.end(),
-                     [&](const WaitingOp& w) { return w.job == job_id; }),
-      waiting_remote_.end());
+  retain_waiting(
+      [&](std::size_t i) { return waiting_remote_[i].job != job_id; });
   jobs_[static_cast<std::size_t>(job_id)] = Job{};
   jobs_[static_cast<std::size_t>(job_id)].done = true;
   if (recycle_completed_) free_slots_.push_back(job_id);
@@ -172,14 +201,10 @@ void NetworkSimulator::on_ready(int job_id, int gate) {
   const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
   if (node >= 0) {
     const RemoteOp& op = job.remote.op(node);
-    WaitingOp w;
-    w.job = job_id;
-    w.gate = gate;
-    w.node = node;
-    w.priority = job.remote_prio[static_cast<std::size_t>(node)];
-    w.qpu_a = op.qpu_a;
-    w.qpu_b = op.qpu_b;
-    waiting_remote_.push_back(w);
+    const double priority =
+        static_cast<double>(job.remote_prio[static_cast<std::size_t>(node)]);
+    requests_.push_back({0, priority, op.qpu_a, op.qpu_b});
+    waiting_remote_.push_back({job_id, gate, node, 0});
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
     start_local(job_id, gate);
@@ -224,36 +249,24 @@ void NetworkSimulator::allocate_and_start() {
 
 std::size_t NetworkSimulator::run_allocation_round() {
   ++alloc_rounds_;
-  std::vector<CommRequest> requests;
-  requests.reserve(waiting_remote_.size());
-  for (const WaitingOp& w : waiting_remote_) {
-    CommRequest req;
-    req.handle = static_cast<int>(requests.size());
-    req.priority = static_cast<double>(w.priority);
-    req.qpu_a = w.qpu_a;
-    req.qpu_b = w.qpu_b;
-    requests.push_back(req);
-  }
-
   const std::vector<int> pairs =
-      allocator_.allocate(requests, free_comm_, rng_);
-  CLOUDQC_CHECK(pairs.size() == requests.size());
+      allocator_.allocate(requests_, free_comm_, rng_);
+  CLOUDQC_CHECK(pairs.size() == requests_.size());
 
-  // Validate the allocator respected per-QPU budgets, then start funded
-  // operations.
-  std::vector<int> spend(free_comm_.size(), 0);
+  // Validate the allocator respected per-QPU budgets (zeroing the scratch
+  // behind the check), then start funded operations.
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     CLOUDQC_CHECK(pairs[i] >= 0);
     if (pairs[i] == 0) continue;
-    spend[static_cast<std::size_t>(requests[i].qpu_a)] += pairs[i];
-    spend[static_cast<std::size_t>(requests[i].qpu_b)] += pairs[i];
+    spend_[static_cast<std::size_t>(requests_[i].qpu_a)] += pairs[i];
+    spend_[static_cast<std::size_t>(requests_[i].qpu_b)] += pairs[i];
   }
   for (std::size_t q = 0; q < free_comm_.size(); ++q) {
-    CLOUDQC_CHECK_MSG(spend[q] <= free_comm_[q],
+    CLOUDQC_CHECK_MSG(spend_[q] <= free_comm_[q],
                       "allocator exceeded communication budget");
+    spend_[q] = 0;
   }
 
-  std::vector<WaitingOp> still_waiting;
   std::size_t started = 0;
   const LatencyModel& lat = cloud_.config().latency;
 #ifndef NDEBUG
@@ -266,15 +279,14 @@ std::size_t NetworkSimulator::run_allocation_round() {
   const std::vector<int> free_before = free_comm_;
   std::vector<int> started_spend(free_comm_.size(), 0);
 #endif
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
+  // Ops that start leave the waiting set; the rest keep arrival order.
+  retain_waiting([&](std::size_t i) {
     WaitingOp& w = waiting_remote_[i];
+    const CommRequest& req = requests_[i];
     // An op the router blocked earlier in this decision point is blocked
     // still: free_comm_ has only shrunk since, and a blocked answer
     // survives any shrink (the EprRouter contract).
-    if (pairs[i] == 0 || w.blocked_at == decision_point_) {
-      still_waiting.push_back(w);
-      continue;
-    }
+    if (pairs[i] == 0 || w.blocked_at == decision_point_) return true;
     const int job_id = w.job;
     const int gate = w.gate;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
@@ -285,9 +297,9 @@ std::size_t NetworkSimulator::run_allocation_round() {
     std::vector<QpuId> reserved_on;
     if (router_ == nullptr) {
       hops = job.remote.op(w.node).hops;
-      reserved_on = {w.qpu_a, w.qpu_b};
+      reserved_on = {req.qpu_a, req.qpu_b};
     } else {
-      auto path = router_->route(cloud_, w.qpu_a, w.qpu_b, free_comm_);
+      auto path = router_->route(cloud_, req.qpu_a, req.qpu_b, free_comm_);
       if (!path.has_value() || !path->valid()) {
         // Every usable path is saturated. The routing contract says this
         // op cannot run right now — requeue it for the next decision
@@ -295,8 +307,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
         // with endpoint-only reservation (which would bypass the very
         // intermediates the router reported as exhausted).
         w.blocked_at = decision_point_;
-        still_waiting.push_back(w);
-        continue;
+        return true;
       }
       // Entanglement swapping consumes qubits at every QPU on the path;
       // earlier ops in this batch may have consumed path/endpoint qubits
@@ -308,8 +319,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
       if (x <= 0) {
         // A saturated swap node blocks this op for now; retry at the next
         // decision point (endpoint qubits were never deducted).
-        still_waiting.push_back(w);
-        continue;
+        return true;
       }
       hops = path->hops();
       reserved_on = std::move(path->nodes);
@@ -357,14 +367,14 @@ std::size_t NetworkSimulator::run_allocation_round() {
     events_.push(now_ + duration,
                  GateDone{job_id, gate, x, std::move(reserved_on)});
     ++started;
-  }
+    return false;
+  });
 #ifndef NDEBUG
   for (std::size_t q = 0; q < free_comm_.size(); ++q) {
     CLOUDQC_CHECK_MSG(free_comm_[q] == free_before[q] - started_spend[q],
                       "requeued op did not return its full grant");
   }
 #endif
-  waiting_remote_ = std::move(still_waiting);
   return started;
 }
 

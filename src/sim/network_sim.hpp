@@ -195,16 +195,13 @@ class NetworkSimulator {
     std::vector<QpuId> reserved_on;
   };
 
-  /// A remote op waiting for communication qubits. Its request fields are
-  /// copied in when it becomes ready, so building an allocation round
-  /// reads nothing else.
+  /// A remote op waiting for communication qubits. Its allocator request
+  /// (priority and endpoints) sits at the same index of requests_, built
+  /// once when the op becomes ready.
   struct WaitingOp {
     int job = -1;
     int gate = -1;
     int node = -1;  // remote-DAG node
-    int priority = 0;
-    QpuId qpu_a = kInvalidNode;
-    QpuId qpu_b = kInvalidNode;
     /// Decision point in which the router last returned no path for it
     /// (0 = never).
     std::uint64_t blocked_at = 0;
@@ -238,8 +235,16 @@ class NetworkSimulator {
   /// deducted — is asserted per round in debug builds, for every router
   /// implementation (the cached frontier router included).
   void allocate_and_start();
-  /// One allocator round; returns the number of operations started.
+  /// One allocator round over requests_; returns the number of operations
+  /// started. Started ops leave the waiting set in place (retain_waiting);
+  /// in release builds the round allocates only the allocator's grant
+  /// vector and each started op's path.
   std::size_t run_allocation_round();
+  /// Keep the waiting ops i (and their requests) for which keep(i) holds,
+  /// in order, compacting both vectors in place. keep is called once per
+  /// op in index order, so it may start the ops it drops.
+  template <typename Keep>
+  void retain_waiting(Keep keep);
   /// Invoke allocate_and_start() only when the resource state changed
   /// since the last round (always, when change gating is off).
   void maybe_allocate();
@@ -262,8 +267,13 @@ class NetworkSimulator {
   std::vector<int> free_slots_;
   int jobs_admitted_ = 0;
   bool recycle_completed_ = false;
-  /// Waiting remote ops in the order they became ready.
+  /// Waiting remote ops in the order they became ready, and their
+  /// allocator requests at the same indices: the allocator's input, kept
+  /// across rounds rather than rebuilt.
   std::vector<WaitingOp> waiting_remote_;
+  std::vector<CommRequest> requests_;
+  /// Budget-check scratch, one entry per QPU, all zero between rounds.
+  std::vector<int> spend_;
   /// Count of allocate_and_start() calls, the stamp in
   /// WaitingOp::blocked_at.
   std::uint64_t decision_point_ = 0;

@@ -26,8 +26,9 @@ QuantumCloud paper_cloud(std::uint64_t seed = 1) {
 // remote op that no EPR path can serve. With a router the op stays
 // blocked until the simulator runs out of events, and the core's one
 // failure site names the job it finds stuck in flight. The static hop
-// model fails earlier, inside the EPR model, on the hop count (-1) of the
-// unreachable QPU pair.
+// model refuses the job at admission, on the hop count (-1) of the
+// unreachable QPU pair. Either way the job's reservation does not
+// outlive the run.
 TEST(Incoming, UnroutableOpNamesTheStuckJob) {
   CloudConfig cfg;
   cfg.num_qpus = 4;
@@ -56,8 +57,16 @@ TEST(Incoming, UnroutableOpNamesTheStuckJob) {
   EXPECT_EQ(cloud.total_free_computing(), cloud.total_computing_capacity());
 
   QuantumCloud static_cloud(cfg, topology);
-  EXPECT_THROW(run_incoming(trace, static_cloud, placer, *alloc),
-               std::logic_error);
+  try {
+    run_incoming(trace, static_cloud, placer, *alloc);
+    FAIL() << "an unroutable job completed under the static hop model";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock: job 'ghz_n4'"), std::string::npos) << what;
+    EXPECT_NE(what.find("no EPR path"), std::string::npos) << what;
+  }
+  EXPECT_EQ(static_cloud.total_free_computing(),
+            static_cloud.total_computing_capacity());
 }
 
 TEST(Incoming, SingleArrivalMeasuresJctFromArrival) {

@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -303,6 +304,78 @@ TEST(NetworkSim, BlockedOpIsRoutedOncePerDecisionPoint) {
   EXPECT_EQ(router.calls, 4);
   EXPECT_DOUBLE_EQ(done[0].time, 16.1);  // A
   EXPECT_DOUBLE_EQ(done[1].time, 32.2);  // B waits for A's cut
+}
+
+/// Forwards to a real allocator and records every call's requests as
+/// (priority, qpu_a, qpu_b) in request order.
+class RecordingAllocator final : public CommAllocator {
+ public:
+  using Request = std::tuple<double, QpuId, QpuId>;
+
+  explicit RecordingAllocator(std::unique_ptr<CommAllocator> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  std::vector<int> allocate(const std::vector<CommRequest>& requests,
+                            std::vector<int> free_comm,
+                            Rng& rng) const override {
+    std::vector<Request>& call = calls.emplace_back();
+    for (const CommRequest& r : requests) {
+      call.emplace_back(r.priority, r.qpu_a, r.qpu_b);
+    }
+    return inner_->allocate(requests, std::move(free_comm), rng);
+  }
+  mutable std::vector<std::vector<Request>> calls;
+
+ private:
+  std::unique_ptr<CommAllocator> inner_;
+};
+
+TEST(NetworkSim, RoundRequestsKeepArrivalOrderAcrossStartsAndCancels) {
+  // Line 0—1—2—3 plus 4—5 and 4—6, one comm qubit per QPU. Job A holds
+  // 1↔2, so job C's 1↔2 op waits unfunded. Job B then readies 0↔3
+  // (priority 1: a second 0↔3 op follows it), 4↔5 and 4↔6 at once. Its
+  // decision point's first round funds 0↔3, which the router blocks on
+  // the saturated cut, starts 4↔5 and leaves 4↔6 unfunded; the second
+  // round sees the survivors in arrival order and starts nothing. After
+  // C is cancelled, the round at A's release sees only B's two ops.
+  Graph topo(7);
+  for (NodeId q = 0; q < 3; ++q) topo.add_edge(q, q + 1);
+  topo.add_edge(4, 5);
+  topo.add_edge(4, 6);
+  CloudConfig cfg;
+  cfg.num_qpus = 7;
+  cfg.computing_qubits_per_qpu = 100;
+  cfg.comm_qubits_per_qpu = 1;
+  cfg.epr_success_prob = 1.0;
+  const QuantumCloud cloud(cfg, std::move(topo));
+  const RecordingAllocator alloc(make_cloudqc_allocator());
+  const auto router = make_masked_shortest_router();
+
+  Circuit a("a", 2);
+  a.cx(0, 1);
+  Circuit c("c", 2);
+  c.cx(0, 1);
+  Circuit b("b", 6);
+  b.cx(0, 1);
+  b.cx(0, 1);
+  b.cx(2, 3);
+  b.cx(4, 5);
+  NetworkSimulator sim(cloud, alloc, Rng(1), router.get());
+  sim.add_job(a, {1, 2});
+  const int job_c = sim.add_job(c, {1, 2});
+  sim.add_job(b, {0, 3, 4, 5, 4, 6});
+  using R = RecordingAllocator::Request;
+  ASSERT_EQ(alloc.calls.size(), 4u);
+  EXPECT_EQ(alloc.calls[2], (std::vector<R>{{0.0, 1, 2},
+                                            {1.0, 0, 3},
+                                            {0.0, 4, 5},
+                                            {0.0, 4, 6}}));
+  EXPECT_EQ(alloc.calls[3],
+            (std::vector<R>{{0.0, 1, 2}, {1.0, 0, 3}, {0.0, 4, 6}}));
+
+  sim.cancel_job(job_c);
+  while (alloc.calls.size() == 4u) sim.step();
+  EXPECT_EQ(alloc.calls[4], (std::vector<R>{{1.0, 0, 3}, {0.0, 4, 6}}));
 }
 
 }  // namespace
