@@ -10,7 +10,7 @@
 // artifact format the CI bench-smoke job uploads.
 // --golden writes <name>.golden.json (into dir, else the working
 // directory): every deterministic metric including the per-job table,
-// byte-stable for a fixed spec. The scenario-golden CI job diffs these
+// byte-stable for a fixed spec. The scenario_golden ctest diffs these
 // against the committed scenarios/golden/ corpus; regenerate with
 // tools/regen_golden.sh.
 #include <cstdio>

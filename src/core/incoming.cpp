@@ -11,13 +11,16 @@ namespace cloudqc {
 std::vector<JobStats> run_incoming(std::vector<ArrivingJob> jobs,
                                    QuantumCloud& cloud, const Placer& placer,
                                    const CommAllocator& allocator,
-                                   const EngineOptions& options) {
+                                   const EngineOptions& options,
+                                   StreamingMetrics* metrics) {
   CLOUDQC_CHECK_MSG(
       options.classes.empty() || options.classes.size() == jobs.size(),
       "classes must be empty or indexed like the trace");
   std::vector<JobStats> stats;
   const std::unique_ptr<JobSource> source = make_vector_source(std::move(jobs));
-  run_lifecycle(*source, cloud, placer, allocator, options, &stats);
+  StreamingMetrics total =
+      run_lifecycle(*source, cloud, placer, allocator, options, &stats);
+  if (metrics != nullptr) *metrics = std::move(total);
   return stats;
 }
 

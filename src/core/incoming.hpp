@@ -28,11 +28,14 @@ namespace cloudqc {
 /// jobs behind it, but keeps its queue position. Jobs larger than the
 /// cloud and jobs that can never be admitted into an idle cloud throw
 /// std::logic_error. `options.classes` must be empty or indexed like the
-/// trace; reject backpressure is refused (every job gets a row).
+/// trace; reject backpressure is refused (every job gets a row). A
+/// non-null `metrics` receives the run's folded metrics, the simulator's
+/// event and allocation-round counts among them.
 std::vector<JobStats> run_incoming(std::vector<ArrivingJob> jobs,
                                    QuantumCloud& cloud, const Placer& placer,
                                    const CommAllocator& allocator,
-                                   const EngineOptions& options);
+                                   const EngineOptions& options,
+                                   StreamingMetrics* metrics = nullptr);
 
 /// Convenience overload with default options and the given seed.
 std::vector<JobStats> run_incoming(std::vector<ArrivingJob> jobs,

@@ -1,8 +1,8 @@
-// The job lifecycle shared by every queue engine (run_batch, run_incoming,
-// run_streaming and the scenario engine's network_sim mode): a pull
-// intake, one ordered queue of arrived-but-unplaced jobs, the admission
-// walk over it, the in-flight reservations, churn fencing, preemption and
-// the single event/arrival/churn loop that drives the NetworkSimulator.
+// The job lifecycle shared by every queue engine (run_batch, run_incoming
+// and run_streaming, so every scenario mode but batch): a pull intake,
+// one ordered queue of arrived-but-unplaced jobs, the admission walk over
+// it, the in-flight reservations, churn fencing, preemption and the
+// single event/arrival/churn loop that drives the NetworkSimulator.
 // This is the paper's control loop (Sec. V-B): the batch manager or the
 // FIFO intake orders jobs, the placer admits a job when capacity allows,
 // and the network scheduler runs every admitted job on the shared cloud.
@@ -14,13 +14,11 @@
 //                   changes the pending bound and shard defaults);
 //   run_incoming  — a vector source over the caller's trace, with a table;
 //   run_batch     — run_incoming with every job arriving at t = 0 in
-//                   batch-manager order;
-//   network_sim   — (core/scenario.cpp) the scenario's job list, all at
-//                   t = 0 in list order, through an EprRouter, with a
-//                   table.
-// A job that can never be placed throws when there is a table (a per-job
-// view accounts for every job) and is dropped and counted when there is
-// none.
+//                   batch-manager order.
+// Each takes the same optional EprRouter; a routed run is no engine of
+// its own. A job that can never be placed throws when there is a table
+// (a per-job view accounts for every job) and is dropped and counted when
+// there is none.
 //
 // Queue order: jobs are kept sorted by (shard, priority desc, id), where
 // the id is the submission index (the trace index; for run_batch the
@@ -64,9 +62,9 @@ struct JobClass {
   bool preempt = false;
 };
 
-/// Per-job outcome of one shared-cloud run (batch, incoming, network_sim).
-/// Times are simulation time units (CX-gate durations); batch and
-/// network_sim jobs all arrive at t = 0.
+/// Per-job outcome of one shared-cloud run (batch, incoming).
+/// Times are simulation time units (CX-gate durations); batch jobs all
+/// arrive at t = 0.
 struct JobStats {
   std::string name;
   SimTime arrival = 0.0;

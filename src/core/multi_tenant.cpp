@@ -9,7 +9,8 @@ namespace cloudqc {
 std::vector<JobStats> run_batch(const std::vector<Circuit>& jobs,
                                 QuantumCloud& cloud, const Placer& placer,
                                 const CommAllocator& allocator,
-                                const MultiTenantOptions& options) {
+                                const MultiTenantOptions& options,
+                                StreamingMetrics* metrics) {
   const std::vector<JobClass>& classes = options.classes;
   CLOUDQC_CHECK_MSG(classes.empty() || classes.size() == jobs.size(),
                     "classes must be empty or indexed like jobs");
@@ -34,7 +35,8 @@ std::vector<JobStats> run_batch(const std::vector<Circuit>& jobs,
     if (!classes.empty()) incoming.classes[rank] = classes[order[rank]];
   }
   std::vector<JobStats> ranked =
-      run_incoming(std::move(trace), cloud, placer, allocator, incoming);
+      run_incoming(std::move(trace), cloud, placer, allocator, incoming,
+                   metrics);
 
   std::vector<JobStats> stats(jobs.size());
   for (std::size_t rank = 0; rank < order.size(); ++rank) {

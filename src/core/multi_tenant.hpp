@@ -36,10 +36,12 @@ struct MultiTenantOptions : EngineOptions {
 /// reservations are restored to their initial state before returning.
 /// Jobs that can never fit the cloud (more qubits than total capacity)
 /// throw std::logic_error. Stats are indexed like `jobs`; completion_time
-/// is the JCT, since the batch arrives at t = 0.
+/// is the JCT, since the batch arrives at t = 0. A non-null `metrics`
+/// receives the run's folded metrics, as in run_incoming.
 std::vector<JobStats> run_batch(const std::vector<Circuit>& jobs,
                                 QuantumCloud& cloud, const Placer& placer,
                                 const CommAllocator& allocator,
-                                const MultiTenantOptions& options = {});
+                                const MultiTenantOptions& options = {},
+                                StreamingMetrics* metrics = nullptr);
 
 }  // namespace cloudqc

@@ -52,7 +52,6 @@ constexpr EnumName<EngineMode> kEngineNames[] = {
     {EngineMode::kBatch, "batch"},
     {EngineMode::kMultiTenant, "multi_tenant"},
     {EngineMode::kIncoming, "incoming"},
-    {EngineMode::kNetworkSim, "network_sim"},
     {EngineMode::kStreaming, "streaming"},
 };
 constexpr EnumName<StreamingBackpressure> kBackpressureNames[] = {
@@ -74,7 +73,6 @@ constexpr EnumName<RouterKind> kRouterNames[] = {
     {RouterKind::kNone, "none"},
     {RouterKind::kShortest, "shortest"},
     {RouterKind::kCongestion, "congestion"},
-    {RouterKind::kMasked, "masked"},
     {RouterKind::kFrontier, "frontier"},
 };
 constexpr EnumName<ChurnPolicy> kChurnPolicyNames[] = {
@@ -592,13 +590,8 @@ void validate_mode_keys(const ScenarioSpec& spec) {
   };
   const bool serial = e.mode != EngineMode::kBatch;
   const bool streaming = e.mode == EngineMode::kStreaming;
-  const char* const serial_modes =
-      "multi_tenant, incoming, network_sim or streaming";
-  // Only network_sim hands the router to the core, and churn cannot meet
-  // one (a routed path could transit an offline QPU;
-  // NetworkSimulator::set_qpu_offline CHECKs that).
-  require(e.router != d.router, "router", e.mode == EngineMode::kNetworkSim,
-          "network_sim");
+  const char* const serial_modes = "multi_tenant, incoming or streaming";
+  require(e.router != d.router, "router", serial, serial_modes);
   require(e.fifo != d.fifo, "fifo", e.mode == EngineMode::kMultiTenant,
           "multi_tenant");
   // The batch engine runs jobs concurrently on private cloud copies: it
@@ -659,8 +652,8 @@ void validate(const ScenarioSpec& spec) {
   }
 
   // Churn runs through every mode with a pending queue to displace jobs
-  // into and no router; tenants also need the per-job table their
-  // results are folded from, which streaming does not keep.
+  // into; tenants also need the per-job table their results are folded
+  // from, which streaming does not keep.
   const bool queue_engine = spec.engine.mode == EngineMode::kMultiTenant ||
                             spec.engine.mode == EngineMode::kIncoming;
   const ChurnSpec& churn = spec.churn;
@@ -672,10 +665,16 @@ void validate(const ScenarioSpec& spec) {
                         "': drift_amplitude must be in [0, 1)");
   }
   if (churn.enabled()) {
-    if (!queue_engine && spec.engine.mode != EngineMode::kStreaming) {
+    if (spec.engine.mode == EngineMode::kBatch) {
       throw ScenarioError("scenario '" + spec.name +
                           "': [churn] requires mode = multi_tenant, "
                           "incoming or streaming");
+    }
+    // A routed path could transit an offline QPU
+    // (NetworkSimulator::set_qpu_offline CHECKs that no router is set).
+    if (spec.engine.router != RouterKind::kNone) {
+      throw ScenarioError("scenario '" + spec.name +
+                          "': [churn] cannot be combined with a router");
     }
     if (churn.random_windows > 0 &&
         (churn.horizon <= 0.0 || churn.mean_duration <= 0.0)) {
@@ -817,8 +816,6 @@ std::unique_ptr<EprRouter> make_router(RouterKind kind) {
       return make_shortest_path_router();
     case RouterKind::kCongestion:
       return make_congestion_aware_router();
-    case RouterKind::kMasked:
-      return make_masked_shortest_router();
     case RouterKind::kFrontier:
       return make_frontier_router();
   }
@@ -1155,6 +1152,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         static_cast<std::size_t>(spec.engine.intake_shards);
   }
 
+  // The lifecycle modes fill it; batch runs one private simulator per job
+  // and leaves it empty.
+  StreamingMetrics metrics;
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
@@ -1175,8 +1175,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       break;
     }
     case EngineMode::kMultiTenant:
-    case EngineMode::kIncoming:
-    case EngineMode::kNetworkSim: {
+    case EngineMode::kIncoming: {
       std::vector<ArrivingJob> trace = drain(*build_source(spec.workload));
       std::vector<int> tenant_of;
       if (!spec.tenants.empty()) {
@@ -1187,21 +1186,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       std::vector<JobStats> stats;
       if (spec.engine.mode == EngineMode::kMultiTenant) {
         stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
-                          *allocator, options);
-      } else if (spec.engine.mode == EngineMode::kIncoming) {
-        stats = run_incoming(std::move(trace), cloud, counting, *allocator,
-                             options);
+                          *allocator, options, &metrics);
       } else {
-        // Every job arrives at t = 0 in list order and is admitted as
-        // capacity allows: the FIFO shared-cloud loop with a router. Called
-        // directly (not via run_incoming) for the simulator counters.
-        for (ArrivingJob& job : trace) job.arrival = 0.0;
-        const std::unique_ptr<JobSource> source =
-            make_vector_source(std::move(trace));
-        const StreamingMetrics metrics = run_lifecycle(
-            *source, cloud, counting, *allocator, options, &stats);
-        result.events_processed = metrics.events_processed;
-        result.allocation_rounds = metrics.allocation_rounds;
+        stats = run_incoming(std::move(trace), cloud, counting, *allocator,
+                             options, &metrics);
       }
       result.jobs.reserve(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
@@ -1212,8 +1200,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     case EngineMode::kStreaming: {
       const std::unique_ptr<JobSource> source = build_source(spec.workload);
-      const StreamingMetrics metrics =
-          run_streaming(*source, cloud, counting, *allocator, options);
+      metrics = run_streaming(*source, cloud, counting, *allocator, options);
       // result.jobs stays empty by design: the engine freed per-job state
       // as jobs completed, so the aggregates below ARE the run's record
       // (finalize_metrics() is a no-op on an empty job table).
@@ -1236,6 +1223,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   }
 
   result.placement_calls = counting.calls();
+  result.events_processed = metrics.events_processed;
+  result.allocation_rounds = metrics.allocation_rounds;
   if (cache != nullptr) {
     const PlacementCacheStats cache_stats = cache->stats();
     result.cache_exact_hits = cache_stats.exact_hits;

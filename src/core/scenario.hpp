@@ -47,12 +47,13 @@ enum class TraceShape {
   kBurst,    ///< groups of simultaneous arrivals separated by exp. gaps
 };
 
-/// Which engine executes the workload.
+/// Which engine executes the workload. The three shared-cloud modes are
+/// views of one lifecycle core (core/job_lifecycle.hpp) and take the same
+/// router; batch runs each job on a private cloud copy.
 enum class EngineMode {
   kBatch,        ///< ParallelExecutor::run_independent (private clouds)
   kMultiTenant,  ///< run_batch: shared cloud, batch-manager admission
   kIncoming,     ///< run_incoming: arrival trace, FIFO + HoL skipping
-  kNetworkSim,   ///< the lifecycle core with a router, all jobs at t = 0
   kStreaming,    ///< run_streaming: bounded-memory stream, aggregates only
 };
 
@@ -62,14 +63,13 @@ enum class PlacerKind { kCloudQC, kBfs, kRandom, kAnnealing, kGenetic, kRace };
 /// Communication-qubit allocator selector (schedule/allocators.hpp).
 enum class AllocatorKind { kCloudQC, kGreedy, kAverage, kRandom };
 
-/// EPR-path router selector (schedule/routing.hpp). Only mode =
-/// network_sim accepts one (it reaches the core as EngineOptions::router);
-/// kNone uses the static hop model. kMasked and kFrontier compute the same
-/// masked-shortest-path policy — kMasked is the per-op reference BFS,
-/// kFrontier the batched sweep with cached trees
-/// (schedule/frontier_router.hpp); their results are bit-identical by
-/// contract, so scenarios pick on speed, not semantics.
-enum class RouterKind { kNone, kShortest, kCongestion, kMasked, kFrontier };
+/// EPR-path router selector (schedule/routing.hpp). Every mode but batch
+/// accepts one (it reaches the core as EngineOptions::router), except
+/// together with [churn]; kNone uses the static hop model. kFrontier is
+/// the masked-shortest-path policy as a batched sweep with cached trees
+/// (schedule/frontier_router.hpp); its per-op reference,
+/// make_masked_shortest_router(), stays a library-only test oracle.
+enum class RouterKind { kNone, kShortest, kCongestion, kFrontier };
 
 /// Workload half of a scenario: either an explicit circuit list
 /// (generator names or QASM paths) or a synthetic arrival trace.
@@ -164,7 +164,7 @@ struct ScenarioSpec {
   ScenarioWorkload workload;
   ScenarioEngine engine;
   /// [churn] section: QPU maintenance windows + calibration drift.
-  /// Multi-tenant, incoming and streaming modes; default = disabled
+  /// Every mode but batch, and never with a router; default = disabled
   /// (static cloud).
   ChurnSpec churn;
   /// [tenant.NAME] sections in file order; empty = tenantless.
@@ -239,8 +239,8 @@ struct ScenarioResult {
   double mean_fidelity = 0.0;
   /// Placer invocations issued by the engine (admission retries included).
   std::size_t placement_calls = 0;
-  /// Simulator counters of the run; reported by mode = network_sim only
-  /// (0 in every other mode, so their goldens keep their bytes).
+  /// Simulator counters of the run, reported by every shared-cloud mode;
+  /// 0 in batch mode, which runs one private simulator per job.
   std::uint64_t events_processed = 0;
   std::uint64_t allocation_rounds = 0;
   /// Placement-cache counters (all 0 when engine.cache is off). Fully
@@ -290,7 +290,7 @@ std::string write_bench_json(const ScenarioResult& result,
 /// field of the result — aggregates plus the full per-job table — and
 /// nothing host-dependent (wall_seconds is excluded). Byte-stable across
 /// machines and worker counts for a fixed spec, so CI can diff the output
-/// against a committed golden file exactly (the scenario-golden job;
+/// against a committed golden file exactly (the scenario_golden ctest;
 /// regenerate with tools/regen_golden.sh). Returns the path written, or ""
 /// on I/O failure.
 std::string write_golden_json(const ScenarioResult& result,
@@ -339,7 +339,7 @@ std::string write_sweep_json(const SweepResult& result, std::string dir = "");
 
 /// Write the sweep as <name>.golden.json in `dir`: per-point assignments
 /// and deterministic aggregates only (no per-job tables, no wall clock).
-/// Byte-stable for a fixed spec, diffed by the scenario-golden CI job.
+/// Byte-stable for a fixed spec, diffed by the scenario_golden ctest.
 /// Returns the path written, or "" on I/O failure.
 std::string write_sweep_golden_json(const SweepResult& result,
                                     const std::string& dir);

@@ -21,7 +21,7 @@
 //
 // Determinism contract: the cache is consulted only from serial admission
 // loops (the job lifecycle behind run_batch / run_incoming /
-// run_streaming, and the network-sim scenario engine), so its contents
+// run_streaming, so every scenario mode but batch), so its contents
 // are a pure function of the request sequence and seed.
 // Turning the cache on changes *which* placements are computed (fewer) and
 // therefore the engine trajectory — exactly like the admission gate — but

@@ -1,7 +1,8 @@
 // Scenario engine (core/scenario.hpp): parser round-trip and rejection
 // behaviour, and the central equivalence contract — run_scenario() on a
 // committed spec file is bit-identical to hand-wiring the same engine
-// calls in C++ (one multi-tenant batch spec, one network-sim spec).
+// calls in C++ (one multi-tenant batch spec, one routed incoming spec,
+// one streaming spec).
 //
 // CLOUDQC_SCENARIO_DIR (a compile definition set in CMakeLists.txt)
 // points at the repo's scenarios/ directory.
@@ -25,6 +26,7 @@
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
+#include "schedule/frontier_router.hpp"
 #include "schedule/routing.hpp"
 #include "sim/network_sim.hpp"
 
@@ -87,6 +89,14 @@ TEST(ScenarioParserTest, RejectsUnknownKeysSectionsAndValues) {
   // (4294967316 == 2^32 + 20 would truncate to a 20-QPU cloud).
   EXPECT_THROW(parse_scenario("[cloud]\nnum_qpus = 4294967316\n"),
                ScenarioError);
+  // Retired names are unknown values: network_sim is incoming with every
+  // job at t = 0, and masked duplicated the frontier router's policy.
+  EXPECT_THROW(parse_scenario("[workload]\ncircuits = ising_n34\n"
+                              "[engine]\nmode = network_sim\n"),
+               ScenarioError);
+  EXPECT_THROW(parse_scenario("[workload]\ncircuits = ising_n34\n"
+                              "[engine]\nmode = incoming\nrouter = masked\n"),
+               ScenarioError);
 }
 
 TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
@@ -95,10 +105,10 @@ TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
   // generator source with no circuits (the default list is empty).
   EXPECT_THROW(parse_scenario("[workload]\nsource = generator\n"),
                ScenarioError);
-  // A router outside the network-sim engine is loud, not ignored.
+  // A router in the batch engine is loud, not ignored.
   EXPECT_THROW(
       parse_scenario("[workload]\ncircuits = ising_n34\n"
-                     "[engine]\nmode = multi_tenant\nrouter = shortest\n"),
+                     "[engine]\nmode = batch\nrouter = shortest\n"),
       ScenarioError);
   EXPECT_THROW(
       parse_scenario("[workload]\ncircuits = ising_n34\n"
@@ -107,19 +117,17 @@ TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
 }
 
 TEST(ScenarioParserTest, RouterKindsRoundTrip) {
-  // Every router name parses under the network-sim engine and survives the
-  // emit/reparse cycle — including the routed-engine pair "masked" and
-  // "frontier" (same policy, per-op vs batched implementation).
+  // Every router name parses and survives the emit/reparse cycle; which
+  // modes read the key is RejectsEngineKeysTheModeDoesNotRead's business.
   const std::pair<const char*, RouterKind> kinds[] = {
       {"none", RouterKind::kNone},
       {"shortest", RouterKind::kShortest},
       {"congestion", RouterKind::kCongestion},
-      {"masked", RouterKind::kMasked},
       {"frontier", RouterKind::kFrontier},
   };
   for (const auto& [name, kind] : kinds) {
     const std::string text = std::string("[workload]\ncircuits = ising_n34\n") +
-                             "[engine]\nmode = network_sim\nrouter = " + name +
+                             "[engine]\nmode = incoming\nrouter = " + name +
                              "\n";
     const ScenarioSpec spec = parse_scenario(text, "r");
     EXPECT_EQ(spec.engine.router, kind) << name;
@@ -127,14 +135,6 @@ TEST(ScenarioParserTest, RouterKindsRoundTrip) {
     EXPECT_NE(ini.find(std::string("router = ") + name), std::string::npos)
         << ini;
     EXPECT_EQ(parse_scenario(ini, "r").engine.router, kind) << name;
-  }
-  // The new kinds are as loud as the old ones outside network_sim.
-  for (const char* mode : {"batch", "multi_tenant", "streaming"}) {
-    EXPECT_THROW(parse_scenario(std::string("[workload]\ncircuits = "
-                                            "ising_n34\n[engine]\nmode = ") +
-                                mode + "\nrouter = frontier\n"),
-                 ScenarioError)
-        << mode;
   }
 }
 
@@ -209,11 +209,10 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
   EXPECT_EQ(reparsed.engine.placer, PlacerKind::kAnnealing);
 }
 
-// Every engine applies the same oversize rule: a job larger than the
-// cloud's total capacity throws, network_sim included.
+// Every engine with a per-job table applies the same oversize rule: a job
+// larger than the cloud's total capacity throws.
 TEST(ScenarioTest, OversizeJobThrowsInEveryEngine) {
-  for (const char* mode : {"batch", "multi_tenant", "incoming",
-                           "network_sim"}) {
+  for (const char* mode : {"batch", "multi_tenant", "incoming"}) {
     const ScenarioSpec spec = parse_scenario(
         std::string("[cloud]\ntopology = ring\nnum_qpus = 4\n"
                     "[workload]\ncircuits = ising_n34, ghz_n127\n"
@@ -256,7 +255,9 @@ TEST(ScenarioTest, GridMultitenantSpecMatchesHandWiredBatch) {
   const auto alloc = make_cloudqc_allocator();
   MultiTenantOptions options;
   options.seed = 1;
-  const auto stats = run_batch(jobs, cloud, *placer, *alloc, options);
+  StreamingMetrics metrics;
+  const auto stats =
+      run_batch(jobs, cloud, *placer, *alloc, options, &metrics);
 
   ASSERT_EQ(result.jobs.size(), stats.size());
   double makespan = 0.0;
@@ -272,16 +273,21 @@ TEST(ScenarioTest, GridMultitenantSpecMatchesHandWiredBatch) {
   }
   EXPECT_EQ(result.makespan, makespan);
   EXPECT_GE(result.placement_calls, stats.size());
+  EXPECT_GT(metrics.events_processed, 0u);
+  EXPECT_EQ(result.events_processed, metrics.events_processed);
+  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
 }
 
-// Same contract for the routed engine on a heterogeneous (bimodal torus)
-// cloud. Every job fits at t = 0, so the lifecycle core's draws match a
-// bare simulator: Rng(seed), the simulator on rng.fork(), then one
-// placer.place per job in list order.
-TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
+// Same contract for a routed incoming run on a heterogeneous (bimodal
+// torus) cloud. A generator list arrives at t = 0 and every job fits
+// then, so the lifecycle core's draws match a bare simulator: Rng(seed),
+// the simulator on rng.fork(), then one placer.place per job in list
+// order.
+TEST(ScenarioTest, TorusIncomingSpecMatchesHandWiredSimulator) {
   const ScenarioSpec spec =
       load_scenario_file(scenario_path("torus_bimodal_netsim.ini"));
-  ASSERT_EQ(spec.engine.mode, EngineMode::kNetworkSim);
+  ASSERT_EQ(spec.engine.mode, EngineMode::kIncoming);
+  ASSERT_EQ(spec.engine.router, RouterKind::kShortest);
   const ScenarioResult result = run_scenario(spec);
 
   QuantumCloud cloud = build_cloud(spec.cloud);
@@ -321,16 +327,16 @@ TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   EXPECT_EQ(result.placement_calls, result.jobs.size());
 }
 
-// A network_sim job that does not fit the capacity left at t = 0 waits for
-// capacity like any shared-cloud job: on a ring of 4 QPUs (80 computing
-// qubits) two ising_n34 leave 12 free, so qft_n29 is admitted at the first
-// completion. Every record equals the FIFO batch engine with the same
-// router.
-TEST(ScenarioTest, NetworkSimQueuesJobsThatDoNotFitAtTimeZero) {
+// A routed incoming job that does not fit the capacity left at t = 0
+// waits for capacity like any shared-cloud job: on a ring of 4 QPUs (80
+// computing qubits) two ising_n34 leave 12 free, so qft_n29 is admitted
+// at the first completion. Every record equals the FIFO batch engine with
+// the same router.
+TEST(ScenarioTest, IncomingQueuesJobsThatDoNotFitAtTimeZero) {
   const ScenarioSpec spec = parse_scenario(
       "[cloud]\ntopology = ring\nnum_qpus = 4\n"
       "[workload]\ncircuits = ising_n34, ising_n34, qft_n29\n"
-      "[engine]\nmode = network_sim\nrouter = masked\n");
+      "[engine]\nmode = incoming\nrouter = frontier\n");
   const ScenarioResult result = run_scenario(spec);
   ASSERT_EQ(result.jobs.size(), 3u);
   for (const ScenarioJobResult& job : result.jobs) {
@@ -348,7 +354,7 @@ TEST(ScenarioTest, NetworkSimQueuesJobsThatDoNotFitAtTimeZero) {
   }
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  const auto router = make_masked_shortest_router();
+  const auto router = make_frontier_router();
   MultiTenantOptions options;
   options.fifo = true;
   options.router = router.get();
@@ -413,6 +419,9 @@ TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
   EXPECT_EQ(result.fidelity_p99, metrics.fidelity_p99());
   EXPECT_EQ(metrics.completed, static_cast<std::uint64_t>(
                                    spec.workload.trace_jobs));
+  EXPECT_GT(metrics.events_processed, 0u);
+  EXPECT_EQ(result.events_processed, metrics.events_processed);
+  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
 }
 
 TEST(ScenarioTest, BatchEngineMetricsAreWorkerCountInvariant) {
@@ -655,13 +664,14 @@ void expect_range_error(const std::string& text, const std::string& key) {
 // every mode.
 TEST(ScenarioParserTest, RejectsEngineKeysTheModeDoesNotRead) {
   const std::vector<std::string> serial = {"multi_tenant", "incoming",
-                                           "network_sim", "streaming"};
+                                           "streaming"};
   const struct {
     const char* key;
     const char* value;
     const char* default_value;
     std::vector<std::string> readers;
   } keys[] = {
+      {"router", "frontier", "none", serial},
       {"fifo", "true", "false", {"multi_tenant"}},
       {"max_pending", "32", "4096", {"streaming"}},
       {"backpressure", "reject", "defer", {"streaming"}},
@@ -672,7 +682,7 @@ TEST(ScenarioParserTest, RejectsEngineKeysTheModeDoesNotRead) {
   const std::string base = "[workload]\ncircuits = ising_n34\n[engine]\n";
   for (const auto& k : keys) {
     for (const char* mode :
-         {"batch", "multi_tenant", "incoming", "network_sim", "streaming"}) {
+         {"batch", "multi_tenant", "incoming", "streaming"}) {
       SCOPED_TRACE(std::string(k.key) + " in " + mode);
       const std::string spec = base + "mode = " + mode + "\n" + k.key + " = ";
       EXPECT_NO_THROW(parse_scenario(spec + k.default_value + "\n"));
@@ -688,7 +698,7 @@ TEST(ScenarioParserTest, RejectsEngineKeysTheModeDoesNotRead) {
   // [sweep] values obey the same rule, at parse time and for a
   // programmatic spec.
   expect_range_error(
-      base + "mode = network_sim\n[sweep]\nengine.fifo = true, false\n",
+      base + "mode = incoming\n[sweep]\nengine.fifo = true, false\n",
       "fifo");
   const std::string sharded = base + "mode = streaming\nintake_shards = 2\n";
   expect_range_error(sharded + "[sweep]\nengine.mode = streaming, incoming\n",
@@ -696,6 +706,59 @@ TEST(ScenarioParserTest, RejectsEngineKeysTheModeDoesNotRead) {
   ScenarioSpec programmatic = parse_scenario(base + "mode = incoming\n");
   programmatic.sweep.push_back(SweepAxis{"engine.max_pending", {"1", "2"}});
   EXPECT_THROW(run_sweep(programmatic), ScenarioError);
+}
+
+// The router is a lifecycle setting, not an engine of its own: every
+// shared-cloud mode hands it to the core and reports the simulator
+// counters. A generator list arrives at t = 0 in list order, so the FIFO
+// batch and the incoming views of one routed run agree record for record.
+// Churn and a router never meet, in any mode.
+TEST(ScenarioTest, RouterReachesEveryLifecycleMode) {
+  const std::string jobs =
+      "[cloud]\ntopology = fat_tree\nnum_qpus = 15\nfanout = 2\n"
+      "[workload]\ncircuits = knn_n67, qugan_n71, ising_n66, qft_n29\n"
+      "[engine]\n";
+  const auto run = [&](const std::string& engine) {
+    return run_scenario(parse_scenario(jobs + engine, "probe"));
+  };
+  const ScenarioResult batch =
+      run("mode = multi_tenant\nfifo = true\nrouter = frontier\n");
+  const ScenarioResult incoming = run("mode = incoming\nrouter = frontier\n");
+  ASSERT_EQ(batch.jobs.size(), 4u);
+  ASSERT_EQ(incoming.jobs.size(), batch.jobs.size());
+  for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
+    const JobStats& got = incoming.jobs[i];
+    const JobStats& want = batch.jobs[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.arrival, want.arrival);
+    EXPECT_EQ(got.placed_time, want.placed_time);
+    EXPECT_EQ(got.completion_time, want.completion_time);
+    EXPECT_EQ(got.remote_ops, want.remote_ops);
+    EXPECT_EQ(got.comm_cost, want.comm_cost);
+    EXPECT_EQ(got.qpus_used, want.qpus_used);
+    EXPECT_EQ(got.est_fidelity, want.est_fidelity);
+    EXPECT_EQ(got.restarts, want.restarts);
+  }
+  EXPECT_GT(batch.events_processed, 0u);
+  EXPECT_EQ(incoming.events_processed, batch.events_processed);
+  EXPECT_EQ(incoming.allocation_rounds, batch.allocation_rounds);
+
+  // Streaming keeps no table; the router shows in its counters.
+  const ScenarioResult routed = run("mode = streaming\nrouter = frontier\n");
+  const ScenarioResult unrouted = run("mode = streaming\n");
+  EXPECT_EQ(routed.stream_completed, 4u);
+  EXPECT_EQ(routed.stream_rejected, 0u);
+  EXPECT_GT(routed.events_processed, 0u);
+  EXPECT_NE(std::make_pair(routed.events_processed, routed.allocation_rounds),
+            std::make_pair(unrouted.events_processed,
+                           unrouted.allocation_rounds));
+
+  for (const char* mode : {"multi_tenant", "incoming", "streaming"}) {
+    SCOPED_TRACE(mode);
+    expect_range_error(jobs + "mode = " + mode +
+                           "\nrouter = frontier\n[churn]\nwindow = 0:1:2\n",
+                       "router");
+  }
 }
 
 /// A generator spec whose [cloud] section sets `key = value`.

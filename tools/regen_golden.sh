@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Regenerate the golden-metrics corpus: one <spec>.golden.json per
 # committed scenario spec, holding every deterministic metric of the run
-# (aggregates + the per-job table; wall-clock excluded). The scenario-golden
-# CI job re-runs each spec and diffs its output against these files
-# byte-for-byte, so any change to engine trajectories — intended or not —
-# shows up as a reviewable diff to scenarios/golden/.
+# (aggregates + the per-job table; wall-clock excluded). The
+# scenario_golden ctest re-runs each spec and diffs its output against
+# these files byte-for-byte, so any change to engine trajectories —
+# intended or not — shows up as a reviewable diff to scenarios/golden/.
 #
 # Usage: tools/regen_golden.sh [build-dir] [out-dir]
 #   build-dir  where scenario_runner lives / is built (default: build)
 #   out-dir    where the goldens are written (default: scenarios/golden).
-#              CI points this at a temp dir and diffs it against the
-#              committed corpus, so the checkout is never mutated there.
+#              The ctest points this at a temp dir and diffs it against
+#              the committed corpus, so the checkout is never mutated there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +30,8 @@ done
 
 # Drop goldens whose spec no longer exists, so the corpus never goes
 # stale. Only meaningful for the committed corpus: a fresh out-dir holds
-# exactly the specs that exist, and CI's diff -r flags strays by itself.
+# exactly the specs that exist, and the ctest's diff -r flags strays by
+# itself.
 if [ "$OUT_DIR" = "scenarios/golden" ]; then
   for golden in scenarios/golden/*.golden.json; do
     [ -f "$golden" ] || continue
