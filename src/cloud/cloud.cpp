@@ -42,16 +42,6 @@ int QuantumCloud::total_comm_capacity() const {
   return total;
 }
 
-Qpu& QuantumCloud::qpu(QpuId id) {
-  CLOUDQC_CHECK(id >= 0 && id < static_cast<QpuId>(qpus_.size()));
-  return qpus_[static_cast<std::size_t>(id)];
-}
-
-const Qpu& QuantumCloud::qpu(QpuId id) const {
-  CLOUDQC_CHECK(id >= 0 && id < static_cast<QpuId>(qpus_.size()));
-  return qpus_[static_cast<std::size_t>(id)];
-}
-
 int QuantumCloud::total_free_computing() const {
   int total = 0;
   for (const auto& q : qpus_) total += q.free_computing();

@@ -7,6 +7,7 @@
 #include "cloud/fidelity_model.hpp"
 #include "cloud/latency_model.hpp"
 #include "cloud/qpu.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
@@ -54,9 +55,16 @@ class QuantumCloud {
   /// The configuration this cloud was built from.
   const CloudConfig& config() const { return config_; }
 
-  /// The QPU with id `id` (checked; ids are 0..num_qpus()-1).
-  Qpu& qpu(QpuId id);
-  const Qpu& qpu(QpuId id) const;
+  /// The QPU with id `id` (checked; ids are 0..num_qpus()-1). Inline:
+  /// the placers' capacity scans call it millions of times per run.
+  Qpu& qpu(QpuId id) {
+    CLOUDQC_CHECK(id >= 0 && id < static_cast<QpuId>(qpus_.size()));
+    return qpus_[static_cast<std::size_t>(id)];
+  }
+  const Qpu& qpu(QpuId id) const {
+    CLOUDQC_CHECK(id >= 0 && id < static_cast<QpuId>(qpus_.size()));
+    return qpus_[static_cast<std::size_t>(id)];
+  }
 
   /// Hop distance between two QPUs (the placement cost C_ij); -1 never
   /// occurs because topologies are connected by construction.

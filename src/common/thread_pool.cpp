@@ -4,6 +4,14 @@
 
 namespace cloudqc {
 
+namespace {
+
+// Set for the lifetime of every pool's worker threads, so that nested
+// fan-outs (parallel_for, the CloudQC sweep) can run inline.
+thread_local bool t_pool_worker = false;
+
+}  // namespace
+
 int ThreadPool::default_num_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 1u, 64u));
@@ -26,7 +34,15 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(default_num_threads());
+  return pool;
+}
+
+bool ThreadPool::on_any_worker_thread() { return t_pool_worker; }
+
 void ThreadPool::worker_loop() {
+  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -42,18 +58,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::on_worker_thread() const {
-  // workers_ is immutable after construction, so reading ids is safe.
-  const auto id = std::this_thread::get_id();
-  for (const auto& worker : workers_) {
-    if (worker.get_id() == id) return true;
-  }
-  return false;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (on_worker_thread()) {
+  if (on_any_worker_thread()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

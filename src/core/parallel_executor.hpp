@@ -58,10 +58,14 @@ class ParallelExecutor {
   int num_threads() const { return num_threads_; }
 
   /// The underlying pool; null in serial (1-thread) mode. Safe to share
-  /// with a racing placer used inside run_independent:
-  /// when the race fires from within an executor task, its parallel_for
-  /// runs inline on that worker (see ThreadPool::parallel_for), so the
-  /// jobs keep the pool saturated and no deadlock is possible.
+  /// with a racing placer used inside run_independent: a parallel_for
+  /// called from within an executor task runs inline on that worker,
+  /// whichever pool it targets (see ThreadPool::parallel_for). So a race,
+  /// or a CloudQC placer's candidate sweep, fired from a task neither
+  /// deadlocks nor fans out into ThreadPool::shared(): the jobs keep this
+  /// pool saturated and the cores are not oversubscribed. In serial mode
+  /// the jobs run on the caller's thread, so each CloudQC sweep fans out
+  /// into the shared pool.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Throughput mode: place and simulate every job independently, each

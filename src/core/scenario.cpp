@@ -1108,6 +1108,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
   // The batch engine fans out across its executor's pool; the other
   // engines are serial loops that only use workers for a racing placer.
+  // A CloudQC-family placement called outside a pool worker (a serial
+  // engine, a one-worker executor) runs its candidate sweep on
+  // ThreadPool::shared().
   std::unique_ptr<ParallelExecutor> executor;
   std::unique_ptr<ThreadPool> race_pool;
   ThreadPool* pool = nullptr;

@@ -1,11 +1,15 @@
 // CloudQC circuit placement (Algorithm 1 + Algorithm 2 of the paper) and
 // the shared helpers used by the CloudQC-BFS variant.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <future>
 #include <limits>
 #include <numeric>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "community/louvain.hpp"
 #include "graph/algorithms.hpp"
 #include "partition/partitioner.hpp"
@@ -258,17 +262,240 @@ int min_feasible_parts(const QuantumCloud& cloud, int needed) {
   return 0;
 }
 
-enum class QpuSelect { kCommunity, kBfs };
+/// One point of Algorithm 1's imbalance × k sweep, with the seeds it
+/// draws. Seeds are drawn for every point before any point runs, so each
+/// point is a pure function of itself, the circuit and the cloud.
+struct SweepPoint {
+  double alpha = 0.0;
+  int k = 0;
+  /// Qubits the selected QPU set must offer (the same for every k of one
+  /// alpha).
+  int needed = 0;
+  std::uint64_t partition_seed = 0;
+  std::uint64_t select_seed = 0;  // community detection only
+};
 
-/// The shared Algorithm 1 driver, parameterised on the QPU-set selection
-/// strategy (community detection = CloudQC, BFS = CloudQC-BFS).
+/// Everything the sweep's points share, read-only across workers.
+struct SweepInputs {
+  const Circuit& circuit;
+  const CircuitDag& dag;
+  const QuantumCloud& cloud;
+  const WeightedCsr& interaction;
+  const WeightedCsr& weighted;  // resource-weighted topology (CloudQC)
+  const PlacerOptions& opts;
+  detail::QpuSelect select;
+};
+
+/// Partition, select QPUs, map and score one sweep point; nullopt when the
+/// point yields no feasible placement.
+std::optional<Placement> evaluate_point(const SweepInputs& in,
+                                        const SweepPoint& pt,
+                                        detail::CenterMemo& centers) {
+  const int n = in.circuit.num_qubits();
+  PartitionOptions popt;
+  popt.num_parts = pt.k;
+  popt.imbalance = pt.alpha;
+  popt.seed = pt.partition_seed;
+  const PartitionResult pres = partition_graph(in.interaction, popt);
+
+  const WeightedCsr part_graph =
+      detail::partition_interaction_graph(in.interaction, pres.part, pt.k);
+
+  // min_qpus = k guarantees the mapping step has one candidate per
+  // partition.
+  const auto candidates =
+      in.select == detail::QpuSelect::kCommunity
+          ? detail::select_qpus_by_community(in.cloud, in.weighted, pt.needed,
+                                             pt.select_seed, pt.k)
+          : detail::select_qpus_by_bfs(in.cloud, pt.needed, pt.k);
+  if (!candidates.has_value()) return std::nullopt;
+
+  const auto mapping =
+      detail::map_partitions(part_graph, in.cloud, *candidates, centers);
+  if (!mapping.has_value()) return std::nullopt;
+
+  std::vector<QpuId> qubit_to_qpu(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) {
+    qubit_to_qpu[static_cast<std::size_t>(q)] =
+        (*mapping)[static_cast<std::size_t>(
+            pres.part[static_cast<std::size_t>(q)])];
+  }
+  if (!placement_fits(in.cloud, qubit_to_qpu)) return std::nullopt;
+
+  // Inequation 6: reject placements that funnel too many remote ops
+  // through one QPU's communication qubits.
+  if (in.opts.max_remote_ops_per_qpu > 0) {
+    const auto per_qpu =
+        remote_ops_per_qpu(in.circuit, qubit_to_qpu, in.cloud.num_qpus());
+    for (const std::size_t r : per_qpu) {
+      if (r > in.opts.max_remote_ops_per_qpu) return std::nullopt;
+    }
+  }
+
+  return finalize_placement(in.circuit, in.dag, in.cloud,
+                            std::move(qubit_to_qpu), in.opts.alpha,
+                            in.opts.beta);
+}
+
+/// Evaluate every point, on the caller and up to pool->size() - 1 of
+/// `pool`'s workers when given, and return the best by the strict
+/// `score >` rule applied in sweep order. Each worker claims points from a
+/// shared counter, writes only their slots and keeps its own CenterMemo
+/// (its entries are pure functions of the candidate set). A point that
+/// throws stores its exception; the lowest-index one is rethrown, which is
+/// the one a serial sweep meets first.
+std::optional<Placement> run_sweep(const SweepInputs& in,
+                                   const std::vector<SweepPoint>& points,
+                                   ThreadPool* pool) {
+  const std::size_t n = points.size();
+  std::vector<std::optional<Placement>> results(n);
+  std::vector<std::exception_ptr> errors(n);
+  auto run_point = [&](detail::CenterMemo& centers, std::size_t i) {
+    try {
+      results[i] = evaluate_point(in, points[i], centers);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::atomic<std::size_t> next{0};
+  auto work = [&] {
+    detail::CenterMemo centers;
+    for (std::size_t i = next++; i < n; i = next++) run_point(centers, i);
+  };
+  // The caller is one of the pool->size() workers; its helpers come from
+  // the pool. Neither can throw: run_point keeps every exception. On a pool
+  // worker the helpers could wait behind blocked workers forever, so the
+  // caller works alone there (as ThreadPool::parallel_for runs inline).
+  const std::size_t helpers =
+      pool != nullptr && n > 1 && !ThreadPool::on_any_worker_thread()
+          ? std::min(n, static_cast<std::size_t>(pool->size())) - 1
+          : 0;
+  std::vector<std::future<void>> joined;
+  try {
+    for (std::size_t h = 0; h < helpers; ++h) {
+      joined.push_back(pool->submit(work));
+    }
+  } catch (...) {
+    for (auto& f : joined) f.wait();  // they read this frame
+    throw;
+  }
+  work();
+  for (auto& f : joined) f.get();
+
+  std::optional<Placement> best;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    if (results[i].has_value() &&
+        (!best.has_value() || results[i]->score > best->score)) {
+      best = std::move(results[i]);
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::optional<Placement> place_cloudqc_family(const Circuit& circuit,
+                                              const QuantumCloud& cloud,
+                                              Rng& rng,
+                                              const PlacementContext& ctx,
+                                              const PlacerOptions& opts,
+                                              QpuSelect select,
+                                              ThreadPool* pool) {
+  const int n = circuit.num_qubits();
+  if (n == 0) return std::nullopt;
+
+  // Every candidate's time estimate walks the same circuit DAG.
+  const CircuitDag dag(circuit);
+
+  // Algorithm 1 line 2: whole circuit fits one QPU.
+  if (auto single = try_single_qpu(circuit, dag, cloud, opts)) {
+    return single;
+  }
+
+  const int k_min = min_feasible_parts(cloud, n);
+  if (k_min == 0) return std::nullopt;
+  // As in the paper, k sweeps from the minimum feasible count up to one
+  // part per QPU (or per qubit, if there are fewer qubits).
+  const int k_max = std::min(cloud.num_qpus(), n);
+
+  // The seeds of every point, drawn in sweep order whether or not the
+  // point later fails, so `rng` reaches the polish pass in the same state
+  // however the points run. Capacity slack covers the partition imbalance
+  // so parts of up to (1+α)·n/k qubits can still be hosted.
+  const int free_total = cloud.total_free_computing();
+  std::vector<SweepPoint> points;
+  for (const double alpha : opts.imbalance_factors) {
+    const int needed = std::min(
+        free_total, static_cast<int>(std::ceil((1.0 + alpha) * n)));
+    for (int k = std::max(2, k_min); k <= k_max; ++k) {
+      SweepPoint pt;
+      pt.alpha = alpha;
+      pt.k = k;
+      pt.needed = needed;
+      pt.partition_seed = rng();
+      if (select == QpuSelect::kCommunity) pt.select_seed = rng();
+      points.push_back(pt);
+    }
+  }
+
+  // `cloud` is const for the whole call, so the interaction CSR (from the
+  // context, shared with the polish pass's delta-cost engine) and the
+  // resource-weighted topology (level 0 of every Louvain run) serve every
+  // point.
+  const WeightedCsr weighted =
+      select == QpuSelect::kCommunity
+          ? WeightedCsr(cloud.resource_weighted_topology())
+          : WeightedCsr();
+  const SweepInputs in{circuit, dag, cloud, *ctx.csr, weighted, opts, select};
+  std::optional<Placement> best = run_sweep(in, points, pool);
+
+  if (best.has_value()) {
+    std::vector<QpuId> polished = best->qubit_to_qpu;
+    polish_placement(circuit, cloud, polished, rng, ctx);
+    best = finalize_placement(circuit, dag, cloud, std::move(polished),
+                              opts.alpha, opts.beta);
+  }
+  // Warm start (placement cache near-hit): polish the cached mapping as
+  // an extra candidate and keep the better of the two. The sweep result
+  // is unchanged, so a warm-started run is never worse than a cold one.
+  if (ctx.warm_start != nullptr &&
+      ctx.warm_start->size() == static_cast<std::size_t>(n) &&
+      placement_fits(cloud, *ctx.warm_start)) {
+    std::vector<QpuId> seeded = *ctx.warm_start;
+    polish_placement(circuit, cloud, seeded, rng, ctx);
+    Placement warm = finalize_placement(circuit, dag, cloud, std::move(seeded),
+                                        opts.alpha, opts.beta);
+    if (!best.has_value() || better_placement(warm, *best)) {
+      best = std::move(warm);
+    }
+  }
+  return best;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The sweep's pool: the shared one, except on a pool worker, where the
+/// sweep runs inline anyway (so the shared pool is not created for it).
+ThreadPool* sweep_pool() {
+  return ThreadPool::on_any_worker_thread() ? nullptr : &ThreadPool::shared();
+}
+
+/// The CloudQC family's placer, parameterised on the QPU-set selection
+/// strategy (community detection = CloudQC, BFS = CloudQC-BFS). Holds no
+/// threads: the sweep borrows ThreadPool::shared() per call.
 class CloudQcFamilyPlacer final : public Placer {
  public:
-  CloudQcFamilyPlacer(PlacerOptions opts, QpuSelect select)
+  CloudQcFamilyPlacer(PlacerOptions opts, detail::QpuSelect select)
       : opts_(std::move(opts)), select_(select) {}
 
   std::string name() const override {
-    return select_ == QpuSelect::kCommunity ? "CloudQC" : "CloudQC-BFS";
+    return select_ == detail::QpuSelect::kCommunity ? "CloudQC"
+                                                    : "CloudQC-BFS";
   }
 
   std::optional<Placement> place(const Circuit& circuit,
@@ -281,132 +508,25 @@ class CloudQcFamilyPlacer final : public Placer {
   std::optional<Placement> place_with_context(
       const Circuit& circuit, const QuantumCloud& cloud, Rng& rng,
       const PlacementContext& ctx) const override {
-    const int n = circuit.num_qubits();
-    if (n == 0) return std::nullopt;
-
-    // Every candidate's time estimate walks the same circuit DAG.
-    const CircuitDag dag(circuit);
-
-    // Algorithm 1 line 2: whole circuit fits one QPU.
-    if (auto single = try_single_qpu(circuit, dag, cloud, opts_)) {
-      return single;
-    }
-
-    const int k_min = min_feasible_parts(cloud, n);
-    if (k_min == 0) return std::nullopt;
-    // As in the paper, k sweeps from the minimum feasible count up to one
-    // part per QPU (or per qubit, if there are fewer qubits).
-    const int k_max = std::min(cloud.num_qpus(), n);
-
-    // One interaction CSR for the whole imbalance/k sweep: the finest
-    // level of every partition, shared with the polish pass's delta-cost
-    // engine via the context.
-    const WeightedCsr& interaction = *ctx.csr;
-    // `cloud` is const for the whole call, so its resource-weighted
-    // topology (level 0 of every Louvain run) and the centres of candidate
-    // sets are built once per call.
-    const WeightedCsr weighted =
-        select_ == QpuSelect::kCommunity
-            ? WeightedCsr(cloud.resource_weighted_topology())
-            : WeightedCsr();
-    detail::CenterMemo centers;
-    std::optional<Placement> best;
-
-    for (const double alpha : opts_.imbalance_factors) {
-      for (int k = std::max(2, k_min); k <= k_max; ++k) {
-        PartitionOptions popt;
-        popt.num_parts = k;
-        popt.imbalance = alpha;
-        popt.seed = rng();
-        const PartitionResult pres = partition_graph(interaction, popt);
-
-        const WeightedCsr part_graph =
-            detail::partition_interaction_graph(interaction, pres.part, k);
-
-        // Capacity slack covers the partition imbalance so parts of up to
-        // (1+α)·n/k qubits can still be hosted; min_qpus = k guarantees the
-        // mapping step has one candidate per partition.
-        const int needed = std::min(
-            cloud.total_free_computing(),
-            static_cast<int>(std::ceil((1.0 + alpha) * n)));
-        const auto candidates =
-            select_ == QpuSelect::kCommunity
-                ? detail::select_qpus_by_community(cloud, weighted, needed,
-                                                   rng(), k)
-                : detail::select_qpus_by_bfs(cloud, needed, k);
-        if (!candidates.has_value()) continue;
-
-        const auto mapping =
-            detail::map_partitions(part_graph, cloud, *candidates, centers);
-        if (!mapping.has_value()) continue;
-
-        std::vector<QpuId> qubit_to_qpu(static_cast<std::size_t>(n));
-        for (int q = 0; q < n; ++q) {
-          qubit_to_qpu[static_cast<std::size_t>(q)] =
-              (*mapping)[static_cast<std::size_t>(
-                  pres.part[static_cast<std::size_t>(q)])];
-        }
-        if (!placement_fits(cloud, qubit_to_qpu)) continue;
-
-        // Inequation 6: reject placements that funnel too many remote ops
-        // through one QPU's communication qubits.
-        if (opts_.max_remote_ops_per_qpu > 0) {
-          const auto per_qpu = remote_ops_per_qpu(circuit, qubit_to_qpu,
-                                                  cloud.num_qpus());
-          bool over = false;
-          for (const std::size_t r : per_qpu) {
-            if (r > opts_.max_remote_ops_per_qpu) over = true;
-          }
-          if (over) continue;
-        }
-
-        Placement cand = finalize_placement(circuit, dag, cloud,
-                                            std::move(qubit_to_qpu),
-                                            opts_.alpha, opts_.beta);
-        if (!best.has_value() || cand.score > best->score) {
-          best = std::move(cand);
-        }
-      }
-    }
-    if (best.has_value()) {
-      std::vector<QpuId> polished = best->qubit_to_qpu;
-      detail::polish_placement(circuit, cloud, polished, rng, ctx);
-      best = finalize_placement(circuit, dag, cloud, std::move(polished),
-                                opts_.alpha, opts_.beta);
-    }
-    // Warm start (placement cache near-hit): polish the cached mapping as
-    // an extra candidate and keep the better of the two. The sweep result
-    // is unchanged, so a warm-started run is never worse than a cold one.
-    if (ctx.warm_start != nullptr &&
-        ctx.warm_start->size() == static_cast<std::size_t>(n) &&
-        placement_fits(cloud, *ctx.warm_start)) {
-      std::vector<QpuId> seeded = *ctx.warm_start;
-      detail::polish_placement(circuit, cloud, seeded, rng, ctx);
-      Placement warm = finalize_placement(circuit, dag, cloud,
-                                          std::move(seeded), opts_.alpha,
-                                          opts_.beta);
-      if (!best.has_value() || better_placement(warm, *best)) {
-        best = std::move(warm);
-      }
-    }
-    return best;
+    return detail::place_cloudqc_family(circuit, cloud, rng, ctx, opts_,
+                                        select_, sweep_pool());
   }
 
  private:
   PlacerOptions opts_;
-  QpuSelect select_;
+  detail::QpuSelect select_;
 };
 
 }  // namespace
 
 std::unique_ptr<Placer> make_cloudqc_placer(PlacerOptions opts) {
   return std::make_unique<CloudQcFamilyPlacer>(std::move(opts),
-                                               QpuSelect::kCommunity);
+                                               detail::QpuSelect::kCommunity);
 }
 
 std::unique_ptr<Placer> make_cloudqc_bfs_placer(PlacerOptions opts) {
   return std::make_unique<CloudQcFamilyPlacer>(std::move(opts),
-                                               QpuSelect::kBfs);
+                                               detail::QpuSelect::kBfs);
 }
 
 }  // namespace cloudqc

@@ -1,7 +1,8 @@
 // Shared machinery of the CloudQC placement family: partition-interaction
-// graphs, QPU-set selection (community-based and BFS-based) and the
-// Algorithm 2 partition→QPU mapping heuristic. Exposed in a header so the
-// CloudQC and CloudQC-BFS placers and the unit tests can reuse it.
+// graphs, QPU-set selection (community-based and BFS-based), the
+// Algorithm 2 partition→QPU mapping heuristic and Algorithm 1 itself.
+// Exposed in a header so the CloudQC and CloudQC-BFS placers and the unit
+// tests can reuse it.
 #pragma once
 
 #include <map>
@@ -12,7 +13,11 @@
 #include "graph/csr.hpp"
 #include "placement/placement.hpp"
 
-namespace cloudqc::detail {
+namespace cloudqc {
+
+class ThreadPool;
+
+namespace detail {
 
 /// Contract a qubit interaction graph along `part` labels: node i is
 /// partition i (node weight = #qubits), edge (i, j) sums the 2-qubit-gate
@@ -54,7 +59,7 @@ void polish_placement(const Circuit& circuit, const QuantumCloud& cloud,
 /// computed for one cloud, keyed on the candidate vector *in order*:
 /// graph_center_of breaks ties by position, so a reordered set may have a
 /// different centre. Valid only while the cloud's topology is unchanged;
-/// the CloudQC family keeps one per placement call.
+/// the CloudQC family keeps one per sweep worker.
 using CenterMemo = std::map<std::vector<QpuId>, QpuId>;
 
 /// Algorithm 2: map each partition to a distinct QPU from `candidates`.
@@ -68,4 +73,25 @@ std::optional<std::vector<QpuId>> map_partitions(
     const WeightedCsr& part_graph, const QuantumCloud& cloud,
     const std::vector<QpuId>& candidates, CenterMemo& centers);
 
-}  // namespace cloudqc::detail
+/// QPU-set selection strategy of the CloudQC family.
+enum class QpuSelect { kCommunity, kBfs };
+
+/// Algorithm 1, the body of the CloudQC (`kCommunity`) and CloudQC-BFS
+/// (`kBfs`) placers: the single-QPU fast path, then the imbalance × k
+/// candidate sweep, the polish pass on the winner and the warm-start
+/// candidate. Every candidate's seeds are drawn from `rng` up front, in
+/// sweep order, so the candidates are independent. With a non-null `pool`
+/// they run on the caller and up to pool->size() - 1 of its workers;
+/// without one, or on a pool worker, serially. The best is chosen in sweep
+/// order. The result and the state `rng` is left in are the same for any
+/// pool, or none.
+std::optional<Placement> place_cloudqc_family(const Circuit& circuit,
+                                              const QuantumCloud& cloud,
+                                              Rng& rng,
+                                              const PlacementContext& ctx,
+                                              const PlacerOptions& opts,
+                                              QpuSelect select,
+                                              ThreadPool* pool);
+
+}  // namespace detail
+}  // namespace cloudqc

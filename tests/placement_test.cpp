@@ -6,6 +6,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/topology.hpp"
 #include "partition/partitioner.hpp"
 #include "placement/cost.hpp"
@@ -436,6 +437,78 @@ TEST(CloudQcPlacer, EpsilonConstraintRespected) {
   Rng rng2(1);
   const auto none = make_cloudqc_placer(strict)->place(c, cloud, rng2);
   EXPECT_FALSE(none.has_value());
+}
+
+TEST(CloudQcPlacer, SweepIsWorkerCountInvariant) {
+  // The imbalance × k sweep runs its points on a pool when given one; the
+  // placement and the caller's RNG state must not depend on it.
+  struct Case {
+    const char* label;
+    QuantumCloud cloud;
+    Circuit circuit;
+    PlacerOptions opts;
+    bool placeable;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"paper cloud", paper_cloud(1), make_workload("qugan_n71"),
+                   {}, true});
+  // Only 8 QPUs keep free qubits, but k sweeps up to 20: every point with
+  // k > 8 fails QPU selection (too few hosts), and the wide-imbalance points
+  // with k near the minimum overfill a QPU.
+  QuantumCloud fragmented = paper_cloud(3);
+  for (QpuId q = 0; q < 12; ++q) {
+    fragmented.qpu(q).reserve_computing(fragmented.qpu(q).free_computing());
+  }
+  cases.push_back({"fragmented cloud", fragmented, make_workload("knn_n67"),
+                   {}, true});
+  // The sweep runs, but every point breaks Inequation 6.
+  PlacerOptions strict;
+  strict.max_remote_ops_per_qpu = 1;
+  cases.push_back({"every point rejected", paper_cloud(5),
+                   make_workload("knn_n67"), strict, false});
+  // Larger than the whole cloud: no sweep at all.
+  cases.push_back({"oversize circuit", paper_cloud(1, 4),
+                   make_workload("knn_n129"), {}, false});
+
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (const Case& c : cases) {
+    for (const auto select :
+         {detail::QpuSelect::kCommunity, detail::QpuSelect::kBfs}) {
+      const PlacementContext cold = PlacementContext::for_circuit(c.circuit);
+      // Warm start from the cold result (when there is one) or a mapping
+      // that does not fit, which the placer must skip identically.
+      PlacementContext warm = cold;
+      Rng probe(11);
+      const auto seed_placement = detail::place_cloudqc_family(
+          c.circuit, c.cloud, probe, cold, c.opts, select, nullptr);
+      warm.warm_start = std::make_shared<const std::vector<QpuId>>(
+          seed_placement.has_value()
+              ? seed_placement->qubit_to_qpu
+              : std::vector<QpuId>(
+                    static_cast<std::size_t>(c.circuit.num_qubits()), 0));
+      const PlacementContext* const contexts[] = {&cold, &warm};
+      for (const PlacementContext* ctx : contexts) {
+        SCOPED_TRACE(std::string(c.label) +
+                     (select == detail::QpuSelect::kBfs ? ", BFS" : "") +
+                     (ctx == &warm ? ", warm" : ", cold"));
+        Rng serial_rng(42);
+        const auto serial = detail::place_cloudqc_family(
+            c.circuit, c.cloud, serial_rng, *ctx, c.opts, select, nullptr);
+        EXPECT_EQ(serial.has_value(), c.placeable);
+        const std::uint64_t serial_next = serial_rng();
+        for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+          Rng rng(42);
+          const auto pooled = detail::place_cloudqc_family(
+              c.circuit, c.cloud, rng, *ctx, c.opts, select, pool);
+          EXPECT_TRUE(testing::identical_placements(pooled, serial))
+              << pool->size() << " workers";
+          EXPECT_EQ(rng(), serial_next) << pool->size() << " workers";
+        }
+      }
+    }
+  }
 }
 
 TEST(Polish, NeverWorsensCost) {

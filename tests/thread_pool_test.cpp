@@ -103,11 +103,29 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> inner_runs{0};
   pool.parallel_for(8, [&](std::size_t) {
-    EXPECT_TRUE(pool.on_worker_thread());
+    EXPECT_TRUE(ThreadPool::on_any_worker_thread());
     pool.parallel_for(5, [&](std::size_t) { ++inner_runs; });
   });
   EXPECT_EQ(inner_runs.load(), 40);
-  EXPECT_FALSE(pool.on_worker_thread());
+  EXPECT_FALSE(ThreadPool::on_any_worker_thread());
+}
+
+TEST(ThreadPool, ParallelForFromAnotherPoolsWorkerRunsInline) {
+  // A placer sweep started inside an executor task fans out on a second
+  // pool; it must run inline on the outer worker rather than oversubscribe
+  // the cores with the inner pool's threads.
+  ThreadPool outer(2);
+  ThreadPool inner(4);
+  std::atomic<bool> inner_ran_elsewhere{false};
+  outer.parallel_for(6, [&](std::size_t) {
+    EXPECT_TRUE(ThreadPool::on_any_worker_thread());
+    const auto caller = std::this_thread::get_id();
+    inner.parallel_for(5, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) inner_ran_elsewhere = true;
+    });
+  });
+  EXPECT_FALSE(inner_ran_elsewhere);
+  EXPECT_FALSE(ThreadPool::on_any_worker_thread());
 }
 
 TEST(ThreadPool, ParallelForUsesMultipleWorkers) {
